@@ -5,8 +5,10 @@ The tuple-at-a-time evaluator (:mod:`repro.chase.gav`,
 copies a binding dict per successful match.  This module replaces those
 inner loops with **batch operators** over tuple rows:
 
-- a binding is a plain ``tuple`` of values laid out by a fixed
-  variable-to-slot assignment compiled per rule (no dicts, no copies);
+- a binding is a plain ``tuple`` laid out by a fixed slot assignment
+  compiled per plan: each atom's new variables, then the stored fact it
+  matched, so the body facts of a binding ride along with its values
+  (no dicts, no copies, no re-instantiation by substitution);
 - each join level is a compiled :class:`_AtomStep` probing a multi-column
   **hash index** over the relation extension — built once per
   (relation, key-positions) signature, shared across rules, and maintained
@@ -14,21 +16,16 @@ inner loops with **batch operators** over tuple rows:
 - constant filters and repeated-variable checks are folded into the index
   build, so they run once per stored fact instead of once per probe.
 
-A small **planner** (:func:`plan_mode`) picks the execution mode per rule:
+:func:`batch_chase` is a duplicate-free semi-naive chase: every binding
+is found exactly once, in the round its last body fact arrives, so it can
+emit the groundings (support sets) of the chased instance as it goes.
 
-- ``nested`` — the relations involved are tiny; fall back to the existing
-  compiled nested-loop join (index build would cost more than it saves);
-- ``hash`` — the default batch hash join described above;
-- ``sqlite`` — the relations involved are large enough that pushing the
-  join down into SQLite (via :mod:`repro.storage.sqlite_store`) wins: the
-  instance is mirrored once into an in-memory store and each rule body
-  becomes one SELECT over the ``rel_<name>`` tables.
-
-The chase itself only ever uses ``nested``/``hash`` (its extensions grow
-every round, so a SQLite mirror would be rebuilt per round); the one-shot
-post-chase joins — grounding enumeration and violation detection — use the
-full planner.  Every mode produces the same row *set*; order differences
-are absorbed by the canonical sorting in :mod:`repro.xr.exchange`.
+The one-shot joins over a finished instance (:func:`find_violations_batch`,
+:func:`enumerate_groundings_batch`) ask a small **planner**
+(:func:`plan_mode`) per body: ``nested`` when the relations involved are
+tiny (an index build would cost more than it saves), ``hash`` otherwise.
+Both modes produce the same row *set*; order differences are absorbed by
+the canonical sorting in :mod:`repro.xr.exchange`.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.chase.gav import _check_rules, compile_substituter
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
@@ -46,17 +44,13 @@ from repro.relational.terms import Const, SkolemValue, Variable, is_constant_val
 
 @dataclass(frozen=True)
 class BatchOptions:
-    """Planner thresholds (see :func:`plan_mode`).
+    """Planner threshold (see :func:`plan_mode`).
 
     ``nested_threshold`` is the largest *total* extension size (sum over
-    the body's relations) still handled by the nested-loop fallback;
-    ``sqlite_threshold`` is the smallest total extension size at which the
-    one-shot joins are pushed down into SQLite.  Tests force
-    ``sqlite_threshold`` low to exercise the push-down on small instances.
+    the body's relations) still handled by the nested-loop fallback.
     """
 
     nested_threshold: int = 16
-    sqlite_threshold: int = 100_000
 
 
 DEFAULT_OPTIONS = BatchOptions()
@@ -65,13 +59,9 @@ DEFAULT_OPTIONS = BatchOptions()
 def plan_mode(
     instance: Instance, atoms: Sequence[Atom], options: BatchOptions
 ) -> str:
-    """Choose ``nested`` / ``hash`` / ``sqlite`` for one body join."""
+    """Choose ``nested`` / ``hash`` for one body join."""
     total = sum(len(instance.facts_of(atom.relation)) for atom in atoms)
-    if total <= options.nested_threshold:
-        return "nested"
-    if total >= options.sqlite_threshold:
-        return "sqlite"
-    return "hash"
+    return "nested" if total <= options.nested_threshold else "hash"
 
 
 # --------------------------------------------------------------- compilation
@@ -85,13 +75,27 @@ def _key_projector(positions: Sequence[int]) -> Callable[[Sequence], Any]:
 
 
 def _tuple_projector(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A compiled projection that always yields a tuple (row extension)."""
+    """A compiled projection that always yields a tuple."""
     if not positions:
         return lambda values: ()
     if len(positions) == 1:
         position = positions[0]
         return lambda values: (values[position],)
     return itemgetter(*positions)
+
+
+def _body_positions(ordered: Sequence[Atom], body: Sequence[Atom]) -> list[int]:
+    """Each planned atom's position in ``body``, matched by identity (a
+    body may contain equal atoms twice)."""
+    taken: set[int] = set()
+    positions: list[int] = []
+    for atom in ordered:
+        for index, candidate in enumerate(body):
+            if index not in taken and candidate is atom:
+                taken.add(index)
+                positions.append(index)
+                break
+    return positions
 
 
 class _AtomStep:
@@ -101,23 +105,28 @@ class _AtomStep:
     row slots they must equal (bound variables, including a variable bound
     twice within this atom); ``const_checks`` and ``same_checks`` are
     folded into the index build; ``new_positions`` are projected into the
-    row extension, binding fresh slots in first-occurrence order.
+    row extension, binding fresh slots in first-occurrence order, and the
+    matched fact itself takes the slot after them (``fact_slot``; the
+    layout records it under the step as key).
     """
 
     __slots__ = (
+        "atom",
         "relation",
         "key_positions",
         "key_slots",
         "const_checks",
         "same_checks",
         "new_positions",
+        "fact_slot",
         "key_of_args",
         "ext_of_args",
         "key_of_row",
         "signature",
     )
 
-    def __init__(self, atom: Atom, layout: dict[Variable, int]) -> None:
+    def __init__(self, atom: Atom, layout: dict[Any, int]) -> None:
+        self.atom = atom
         self.relation = atom.relation
         key_positions: list[int] = []
         key_slots: list[int] = []
@@ -140,8 +149,9 @@ class _AtomStep:
                 const_checks.append((position, term.value))
             else:
                 raise TypeError(f"unexpected body term {term!r}")
-        for variable, position in first_here.items():
+        for variable in first_here:
             layout[variable] = len(layout)
+        self.fact_slot = layout[self] = len(layout)
         self.key_positions = tuple(key_positions)
         self.key_slots = tuple(key_slots)
         self.const_checks = tuple(const_checks)
@@ -164,7 +174,7 @@ class _AtomStep:
         )
 
     def admit(self, fact: Fact) -> tuple[Any, tuple] | None:
-        """``(key, extension)`` for a fact passing the folded filters."""
+        """``(key, extension + (fact,))`` for a fact passing the filters."""
         args = fact.args
         for position, value in self.const_checks:
             if args[position] != value:
@@ -172,7 +182,7 @@ class _AtomStep:
         for left, right in self.same_checks:
             if args[left] != args[right]:
                 return None
-        return (self.key_of_args(args), self.ext_of_args(args))
+        return (self.key_of_args(args), self.ext_of_args(args) + (fact,))
 
 
 class _IndexCache:
@@ -183,7 +193,9 @@ class _IndexCache:
     the two self-join atoms of every key egd over one relation — share a
     single index.  Each index is built exactly once from the extension
     and then extended fact-by-fact as the chase derives new rows
-    (:meth:`add_fact`).
+    (:meth:`add_fact`).  Bucket entries are ``(extension, arrival)``;
+    facts present at build time arrive at 0, and since later facts are
+    appended in arrival order, every bucket is sorted by arrival.
     """
 
     __slots__ = ("instance", "_by_signature", "_by_relation")
@@ -201,55 +213,50 @@ class _IndexCache:
             for fact in self.instance.facts_of(step.relation):
                 entry = admit(fact)
                 if entry is not None:
-                    index.setdefault(entry[0], []).append((entry[1], fact))
+                    index.setdefault(entry[0], []).append((entry[1], 0))
             self._by_signature[step.signature] = index
             self._by_relation.setdefault(step.relation, []).append(
                 (step, index)
             )
         return index
 
-    def add_fact(self, fact: Fact) -> None:
+    def add_fact(self, fact: Fact, arrival: int = 0) -> None:
         for step, index in self._by_relation.get(fact.relation, ()):
             entry = step.admit(fact)
             if entry is not None:
-                index.setdefault(entry[0], []).append((entry[1], fact))
+                index.setdefault(entry[0], []).append((entry[1], arrival))
 
 
 def _probe(
-    step: _AtomStep, index: dict[Any, list[tuple]], rows: list[tuple]
+    step: _AtomStep,
+    index: dict[Any, list[tuple]],
+    rows: list[tuple],
+    before: int | None = None,
 ) -> list[tuple]:
+    """Extend every row by every matching index entry.
+
+    With ``before`` set, only entries that arrived before it match (the
+    "old" side of a semi-naive join); buckets are sorted by arrival, so
+    the scan stops at the first later entry.
+    """
     key_of_row = step.key_of_row
     out: list[tuple] = []
     append = out.append
     get = index.get
-    for row in rows:
-        bucket = get(key_of_row(row))
-        if bucket:
-            for extension, _fact in bucket:
-                append(row + extension)
-    return out
-
-
-def _probe_tracked(
-    step: _AtomStep,
-    index: dict[Any, list[tuple]],
-    rows: list[tuple[tuple, tuple]],
-) -> list[tuple[tuple, tuple]]:
-    """Like :func:`_probe`, but rows are ``(values, provenance facts)``.
-
-    Provenance rows let grounding enumeration emit the matched body facts
-    without re-instantiating them by substitution — the contributing
-    stored fact rides along with every probe extension.
-    """
-    key_of_row = step.key_of_row
-    out: list[tuple[tuple, tuple]] = []
-    append = out.append
-    get = index.get
-    for values, facts in rows:
-        bucket = get(key_of_row(values))
-        if bucket:
-            for extension, fact in bucket:
-                append((values + extension, facts + (fact,)))
+    if before is None:
+        for row in rows:
+            bucket = get(key_of_row(row))
+            if bucket:
+                for extension, _arrival in bucket:
+                    append(row + extension)
+    else:
+        for row in rows:
+            bucket = get(key_of_row(row))
+            if bucket:
+                for extension, arrival in bucket:
+                    if arrival >= before:
+                        break
+                    append(row + extension)
     return out
 
 
@@ -257,13 +264,12 @@ _VAR, _CONST, _SKOLEM = 0, 1, 2
 
 
 def compile_slot_head(
-    rule: TGD, layout: dict[Variable, int]
-) -> Callable[[tuple], Fact]:
-    """The head grounder of a GAV rule, compiled against a slot layout."""
-    atom = rule.head[0]
-    relation = atom.relation
+    rule: TGD, layout: dict[Any, int]
+) -> Callable[[tuple], tuple]:
+    """The head-argument builder of a GAV rule, compiled against a slot
+    layout: it maps a row to the head fact's ``args`` tuple."""
     ops: list[tuple[int, Any]] = []
-    for term in atom.terms:
+    for term in rule.head[0].terms:
         if isinstance(term, Variable):
             ops.append((_VAR, layout[term]))
         elif isinstance(term, Const):
@@ -282,14 +288,9 @@ def compile_slot_head(
     if all(kind == _VAR for kind, _payload in ops):
         # The common GAV case (no constants, no skolems): the head args
         # are a plain projection of the row.
-        project = _tuple_projector([payload for _kind, payload in ops])
+        return _tuple_projector([payload for _kind, payload in ops])
 
-        def ground_projection(row: tuple) -> Fact:
-            return Fact(relation, project(row))
-
-        return ground_projection
-
-    def ground(row: tuple) -> Fact:
+    def head_args(row: tuple) -> tuple:
         args = []
         for kind, payload in ops:
             if kind == _VAR:
@@ -307,30 +308,9 @@ def compile_slot_head(
                         ),
                     )
                 )
-        return Fact(relation, args)
+        return tuple(args)
 
-    return ground
-
-
-def compile_slot_substituter(
-    atom: Atom, layout: dict[Variable, int]
-) -> Callable[[tuple], Fact]:
-    """A body-atom instantiator (variables/constants), row-slot based."""
-    relation = atom.relation
-    ops = tuple(
-        (True, layout[term])
-        if isinstance(term, Variable)
-        else (False, term.value)
-        for term in atom.terms
-    )
-
-    def substitute(row: tuple) -> Fact:
-        return Fact(
-            relation,
-            [row[slot] if is_var else slot for is_var, slot in ops],
-        )
-
-    return substitute
+    return head_args
 
 
 # ------------------------------------------------------------- full-body join
@@ -340,32 +320,21 @@ class _BodyPlan:
     """A compiled full-body join: every atom is a probe step.
 
     Rows start as the empty tuple and grow one atom at a time in the
-    planned order; the slot layout is the first-occurrence order of the
-    variables along that order.
+    planned order; ``body_of`` projects a row's matched facts back into
+    body order.
     """
 
-    __slots__ = ("atoms", "steps", "layout", "body_order")
+    __slots__ = ("atoms", "steps", "layout", "body_of")
 
     def __init__(self, instance: Instance, atoms: Sequence[Atom]) -> None:
-        original = list(atoms)
-        self.atoms = list(plan_join_order(instance, original, set()))
-        # Recover each planned atom's original position (by object
-        # identity — a body may contain equal atoms twice), so provenance
-        # tuples in join order can be reordered back to body order.
-        join_to_body: list[int] = []
-        taken: set[int] = set()
-        for atom in self.atoms:
-            for index, candidate in enumerate(original):
-                if index not in taken and candidate is atom:
-                    taken.add(index)
-                    join_to_body.append(index)
-                    break
-        inverse = [0] * len(original)
-        for join_position, body_index in enumerate(join_to_body):
-            inverse[body_index] = join_position
-        self.body_order = tuple(inverse)
-        self.layout: dict[Variable, int] = {}
+        body = list(atoms)
+        self.atoms = list(plan_join_order(instance, body, set()))
+        self.layout: dict[Any, int] = {}
         self.steps = [_AtomStep(atom, self.layout) for atom in self.atoms]
+        fact_slots = [0] * len(body)
+        for step, position in zip(self.steps, _body_positions(self.atoms, body)):
+            fact_slots[position] = step.fact_slot
+        self.body_of = _tuple_projector(fact_slots)
 
     def rows_hash(self, cache: _IndexCache) -> list[tuple]:
         rows: list[tuple] = [()]
@@ -375,182 +344,83 @@ class _BodyPlan:
                 return rows
         return rows
 
-    def rows_hash_tracked(
-        self, cache: _IndexCache
-    ) -> list[tuple[tuple, tuple]]:
-        """Hash-join rows with the matched facts riding along.
-
-        Each result is ``(values, facts-in-join-order)``; reorder the
-        facts through :attr:`body_order` to recover the body-order tuple.
-        """
-        rows: list[tuple[tuple, tuple]] = [((), ())]
-        for step in self.steps:
-            rows = _probe_tracked(step, cache.index_for(step), rows)
-            if not rows:
-                return rows
-        return rows
-
     def rows_nested(self, instance: Instance) -> list[tuple]:
-        order = [
-            variable
-            for variable, _slot in sorted(
-                self.layout.items(), key=lambda item: item[1]
-            )
+        """Nested-loop rows in the same layout; matched facts are
+        re-instantiated by substitution."""
+        getters = [
+            itemgetter(key) if isinstance(key, Variable)
+            else compile_substituter(key.atom)
+            for key, _slot in sorted(self.layout.items(), key=itemgetter(1))
         ]
         return [
-            tuple(binding[variable] for variable in order)
+            tuple(get(binding) for get in getters)
             for binding in match_atoms(instance, self.atoms)
         ]
 
-    def rows_sqlite(self, mirror: "_SQLiteMirror") -> list[tuple]:
-        return mirror.join_rows(self.atoms, self.layout)
-
-
-class _SQLiteMirror:
-    """A lazy in-memory SQLite copy of one instance for join push-down.
-
-    Built at most once per batch context; each body join becomes a single
-    SELECT over the mirrored ``rel_<name>`` tables with equality
-    conditions for shared variables and encoded-constant filters.  Raises
-    ``TypeError`` for unencodable values (callers fall back to hash mode).
-    """
-
-    __slots__ = ("instance", "_store", "_failed")
-
-    def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self._store = None
-        self._failed = False
-
-    def _ensure_store(self):
-        if self._failed:
-            raise TypeError("instance not representable in the SQLite mirror")
-        if self._store is None:
-            from repro.storage.sqlite_store import SQLiteInstanceStore
-
-            store = SQLiteInstanceStore(":memory:")
-            try:
-                store.save(self.instance)
-            except TypeError:
-                self._failed = True
-                store.close()
-                raise
-            self._store = store
-        return self._store
-
-    def join_rows(
-        self, atoms: Sequence[Atom], layout: dict[Variable, int]
-    ) -> list[tuple]:
-        from repro.storage.sqlite_store import decode_value, encode_value
-
-        if any(
-            not self.instance.facts_of(atom.relation) for atom in atoms
-        ):
-            return []
-        store = self._ensure_store()
-        first_seen: dict[Variable, str] = {}
-        conditions: list[str] = []
-        parameters: list[str] = []
-        tables: list[str] = []
-        for index, atom in enumerate(atoms):
-            alias = f"t{index}"
-            tables.append(f'"rel_{atom.relation}" {alias}')
-            for position, term in enumerate(atom.terms):
-                column = f"{alias}.c{position}"
-                if isinstance(term, Variable):
-                    if term in first_seen:
-                        conditions.append(f"{column} = {first_seen[term]}")
-                    else:
-                        first_seen[term] = column
-                elif isinstance(term, Const):
-                    conditions.append(f"{column} = ?")
-                    parameters.append(encode_value(term.value))
-                else:
-                    raise TypeError(f"unexpected body term {term!r}")
-        columns = [
-            column
-            for _variable, column in sorted(
-                first_seen.items(), key=lambda item: layout[item[0]]
-            )
-        ]
-        sql = (
-            f"SELECT {', '.join(columns) if columns else '1'} "
-            f"FROM {', '.join(tables)}"
-        )
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        cursor = store.connection.execute(sql, parameters)
-        if not columns:
-            return [() for _row in cursor.fetchall()]
-        return [
-            tuple(decode_value(value) for value in row)
-            for row in cursor.fetchall()
-        ]
-
-
-class _BatchContext:
-    """Shared per-instance state for the one-shot post-chase joins."""
-
-    __slots__ = ("instance", "options", "cache", "mirror", "plan_log")
-
-    def __init__(
-        self,
-        instance: Instance,
-        options: BatchOptions,
-        plan_log: dict[str, str] | None = None,
-    ) -> None:
-        self.instance = instance
-        self.options = options
-        self.cache = _IndexCache(instance)
-        self.mirror = _SQLiteMirror(instance)
-        self.plan_log = plan_log
-
-    def rows(self, label: str, atoms: Sequence[Atom]) -> tuple[_BodyPlan, list[tuple]]:
-        plan = _BodyPlan(self.instance, atoms)
-        mode = plan_mode(self.instance, atoms, self.options)
-        if mode == "sqlite":
-            try:
-                rows = plan.rows_sqlite(self.mirror)
-            except TypeError:
-                # Unencodable value (e.g. a boolean): the mirror cannot
-                # represent this instance; run the hash join instead.
-                mode = "hash"
-                rows = plan.rows_hash(self.cache)
-        elif mode == "nested":
-            rows = plan.rows_nested(self.instance)
-        else:
-            rows = plan.rows_hash(self.cache)
-        if self.plan_log is not None:
-            self.plan_log[label] = mode
-        return plan, rows
+    def rows(
+        self, instance: Instance, cache: _IndexCache, options: BatchOptions
+    ) -> tuple[str, list[tuple]]:
+        mode = plan_mode(instance, self.atoms, options)
+        if mode == "nested":
+            return mode, self.rows_nested(instance)
+        return mode, self.rows_hash(cache)
 
 
 # -------------------------------------------------------------------- chase
 
 
 class _PivotPlan:
-    """One (rule, pivot-position) batch plan for the semi-naive chase.
+    """One (rule, pivot-position) plan of the semi-naive chase.
 
-    The pivot atom seeds rows directly from delta facts; the remaining
-    atoms are probe steps against the (round-stable) work instance.
+    The pivot atom seeds rows from delta facts; ``probes`` pairs each
+    remaining atom's step with an ``old_only`` flag, set for the body
+    atoms *before* the pivot: they match only facts that arrived before
+    the current round, so a binding with several delta facts is found
+    exactly once — by the plan pivoting on its first delta atom.
     """
 
-    __slots__ = ("rule", "pivot", "steps", "ground", "layout")
+    __slots__ = (
+        "rule",
+        "seed",
+        "probes",
+        "head_args",
+        "head_relation",
+        "body_of",
+        "tautology_slots",
+    )
 
     def __init__(self, instance: Instance, rule: TGD, position: int) -> None:
         self.rule = rule
-        self.pivot = rule.body[position]
-        self.layout: dict[Variable, int] = {}
-        seed_step = _AtomStep(self.pivot, self.layout)
-        rest = [a for i, a in enumerate(rule.body) if i != position]
-        ordered = plan_join_order(instance, rest, set(self.layout))
-        self.steps = [seed_step] + [
-            _AtomStep(atom, self.layout) for atom in ordered
+        layout: dict[Any, int] = {}
+        pivot = rule.body[position]
+        self.seed = _AtomStep(pivot, layout)
+        rest = [atom for index, atom in enumerate(rule.body) if index != position]
+        ordered = plan_join_order(instance, rest, pivot.variables())
+        positions = [
+            index + (index >= position) for index in _body_positions(ordered, rest)
         ]
-        self.ground = compile_slot_head(rule, self.layout)
+        steps = [_AtomStep(atom, layout) for atom in ordered]
+        self.probes = [
+            (step, body_index < position)
+            for step, body_index in zip(steps, positions)
+        ]
+        fact_slots = [0] * len(rule.body)
+        fact_slots[position] = self.seed.fact_slot
+        for step, body_index in zip(steps, positions):
+            fact_slots[body_index] = step.fact_slot
+        self.body_of = _tuple_projector(fact_slots)
+        self.head_args = compile_slot_head(rule, layout)
+        self.head_relation = rule.head[0].relation
+        # A grounding is tautological when its head is one of its own body
+        # facts; only atoms over the head's relation can be that fact.
+        self.tautology_slots = tuple(
+            fact_slots[index]
+            for index, atom in enumerate(rule.body)
+            if atom.relation == self.head_relation
+        )
 
     def seed_rows(self, facts: Iterable[Fact]) -> list[tuple]:
-        admit = self.steps[0].admit
+        admit = self.seed.admit
         rows = []
         for fact in facts:
             entry = admit(fact)
@@ -564,7 +434,7 @@ def batch_chase(
     rules: Sequence[TGD],
     max_rounds: int = 1_000_000,
     stats: dict[str, int] | None = None,
-    options: BatchOptions = DEFAULT_OPTIONS,
+    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] | None = None,
 ) -> Instance:
     """Strict-round semi-naive fixpoint, evaluated set-at-a-time.
 
@@ -572,48 +442,100 @@ def batch_chase(
     same ``rounds``/``derived_facts`` counters): both use strict rounds,
     so the per-round derivation set is a pure function of the (work,
     delta) sets and the evaluation strategy cannot be observed.
-    """
-    from repro.chase.gav import _check_rules
 
+    Each round splits every join into old and new: for pivot position
+    *i*, body atoms before *i* match facts that arrived before the round
+    and atoms after *i* match the whole instance, so each binding over
+    the final instance is found exactly once.  Every fact exists as one
+    object — a derived head resolves to the stored fact through
+    per-relation ``{args: Fact}`` maps — and when ``groundings`` is a
+    list, each non-tautological ``(rule, body_facts, head_fact)`` is
+    appended to it as found: the same set
+    :func:`~repro.chase.gav.enumerate_groundings` yields over the result,
+    built from the chased instance's own fact objects.
+    """
     _check_rules(rules)
     work = instance.copy()
     cache = _IndexCache(work)
+    stored: dict[str, dict[tuple, Fact]] = {}
+    for fact in work:
+        stored.setdefault(fact.relation, {})[fact.args] = fact
     by_relation: dict[str, list[_PivotPlan]] = {}
     for rule in rules:
         for position in range(len(rule.body)):
             plan = _PivotPlan(work, rule, position)
-            by_relation.setdefault(plan.pivot.relation, []).append(plan)
+            for step, _old_only in plan.probes:
+                # Built now, while every fact present arrived at 0.
+                cache.index_for(step)
+            stored.setdefault(plan.head_relation, {})
+            by_relation.setdefault(plan.seed.relation, []).append(plan)
 
-    delta = list(instance)
+    delta = list(work)
     rounds = 0
     while delta:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError(f"batch_chase exceeded {max_rounds} rounds")
+        # This round's delta arrived at rounds - 1; anything earlier is old.
+        before = rounds - 1
         delta_by_relation: dict[str, list[Fact]] = {}
         for fact in delta:
             delta_by_relation.setdefault(fact.relation, []).append(fact)
-        pending: set[Fact] = set()
+        fresh: dict[str, dict[tuple, Fact]] = {}
         for relation, facts in delta_by_relation.items():
             for plan in by_relation.get(relation, ()):
                 rows = plan.seed_rows(facts)
-                for step in plan.steps[1:]:
+                for step, old_only in plan.probes:
                     if not rows:
                         break
-                    rows = _probe(step, cache.index_for(step), rows)
-                ground = plan.ground
-                for row in rows:
-                    head_fact = ground(row)
-                    if head_fact not in work:
-                        pending.add(head_fact)
-        delta = list(pending)
-        for head_fact in delta:
-            work.add(head_fact)
-            cache.add_fact(head_fact)
+                    rows = _probe(
+                        step,
+                        cache.index_for(step),
+                        rows,
+                        before if old_only else None,
+                    )
+                if rows:
+                    _derive(plan, rows, stored, fresh, groundings)
+        delta = []
+        for relation, new in fresh.items():
+            stored[relation].update(new)
+            for head_fact in new.values():
+                work.add(head_fact)
+                cache.add_fact(head_fact, rounds)
+                delta.append(head_fact)
     if stats is not None:
         stats["rounds"] = rounds
         stats["derived_facts"] = len(work) - len(instance)
     return work
+
+
+def _derive(
+    plan: _PivotPlan,
+    rows: list[tuple],
+    stored: dict[str, dict[tuple, Fact]],
+    fresh: dict[str, dict[tuple, Fact]],
+    groundings: list | None,
+) -> None:
+    """Resolve each row's head to its one fact object, buffering new
+    facts in ``fresh`` until the round ends; emit groundings if asked."""
+    relation = plan.head_relation
+    known = stored[relation]
+    new = fresh.setdefault(relation, {})
+    head_args = plan.head_args
+    rule, body_of, tautology_slots = plan.rule, plan.body_of, plan.tautology_slots
+    for row in rows:
+        args = head_args(row)
+        head_fact = known.get(args)
+        if head_fact is None:
+            head_fact = new.get(args)
+            if head_fact is None:
+                head_fact = new[args] = Fact(relation, args)
+        if groundings is not None:
+            for slot in tautology_slots:
+                if row[slot] is head_fact:
+                    break
+            else:
+                groundings.append((rule, body_of(row), head_fact))
 
 
 # ------------------------------------------------- groundings and violations
@@ -627,59 +549,27 @@ def enumerate_groundings_batch(
 ) -> Iterator[tuple[TGD, tuple[Fact, ...], Fact]]:
     """Batch equivalent of :func:`repro.chase.gav.enumerate_groundings`.
 
-    Same dedup semantics — one grounding per distinct ``(body facts, head
-    fact)`` pair per rule, tautological groundings (head in own body)
-    dropped — but each rule body is one planned batch join instead of a
-    per-binding nested loop.  In hash mode the matched body facts come
-    straight from the join's provenance (no re-instantiation by
-    substitution); nested/SQLite rows carry values only, so those modes
-    substitute.  Yield order within a rule follows the join, which is
-    *not* the tuple path's order; callers canonicalize.
+    Same semantics — one grounding per binding (a binding's body facts
+    determine it, so there are no duplicates), tautological groundings
+    (head in own body) dropped — but each rule body is one planned batch
+    join.  Yield order within a rule follows the join, which is *not* the
+    tuple path's order; callers canonicalize.  The exchange takes its
+    groundings from :func:`batch_chase` instead; this one-shot form serves
+    instances that were not chased here.
     """
-    context = _BatchContext(instance, options, plan_log)
+    cache = _IndexCache(instance)
     for rule in rules:
-        mode = plan_mode(instance, rule.body, options)
         plan = _BodyPlan(instance, rule.body)
-        tracked: list[tuple[tuple, tuple]] | None = None
-        rows: list[tuple] = []
-        if mode == "sqlite":
-            try:
-                rows = plan.rows_sqlite(context.mirror)
-            except TypeError:
-                mode = "hash"
-        if mode == "nested":
-            rows = plan.rows_nested(instance)
-        elif mode == "hash":
-            tracked = plan.rows_hash_tracked(context.cache)
-        if context.plan_log is not None:
-            context.plan_log[rule.label] = mode
-        ground = compile_slot_head(rule, plan.layout)
-        seen: set[tuple[tuple[Fact, ...], Fact]] = set()
-        if tracked is not None:
-            body_of = _tuple_projector(plan.body_order)
-            for values, provenance in tracked:
-                body_facts = body_of(provenance)
-                head_fact = ground(values)
-                if head_fact in body_facts:
-                    continue
-                key = (body_facts, head_fact)
-                if key not in seen:
-                    seen.add(key)
-                    yield rule, body_facts, head_fact
-        else:
-            substituters = tuple(
-                compile_slot_substituter(atom, plan.layout)
-                for atom in rule.body
-            )
-            for row in rows:
-                body_facts = tuple(sub(row) for sub in substituters)
-                head_fact = ground(row)
-                if head_fact in body_facts:
-                    continue
-                key = (body_facts, head_fact)
-                if key not in seen:
-                    seen.add(key)
-                    yield rule, body_facts, head_fact
+        mode, rows = plan.rows(instance, cache, options)
+        if plan_log is not None:
+            plan_log[rule.label] = mode
+        relation = rule.head[0].relation
+        head_args = compile_slot_head(rule, plan.layout)
+        for row in rows:
+            body_facts = plan.body_of(row)
+            head_fact = Fact(relation, head_args(row))
+            if head_fact not in body_facts:
+                yield rule, body_facts, head_fact
 
 
 def find_violations_batch(
@@ -697,15 +587,13 @@ def find_violations_batch(
     """
     from repro.xr.exchange import Violation
 
-    context = _BatchContext(chased, options, plan_log)
+    cache = _IndexCache(chased)
     violations = []
     for egd in egds:
-        plan, rows = context.rows(egd.label, egd.body)
-        if not rows:
-            continue
-        substituters = tuple(
-            compile_slot_substituter(atom, plan.layout) for atom in egd.body
-        )
+        plan = _BodyPlan(chased, egd.body)
+        mode, rows = plan.rows(chased, cache, options)
+        if plan_log is not None:
+            plan_log[egd.label] = mode
         lhs_slot = plan.layout[egd.lhs]
         rhs_is_var = isinstance(egd.rhs, Variable)
         rhs_slot = plan.layout[egd.rhs] if rhs_is_var else None
@@ -720,6 +608,7 @@ def find_violations_batch(
                 is_constant_value(lhs_value) and is_constant_value(rhs_value)
             ):
                 continue
-            body_facts = tuple(sub(row) for sub in substituters)
-            violations.append(Violation(egd, body_facts, lhs_value, rhs_value))
+            violations.append(
+                Violation(egd, plan.body_of(row), lhs_value, rhs_value)
+            )
     return violations

@@ -63,10 +63,6 @@ class ExchangeData:
     chased: Instance  # I ∪ J: source facts plus the canonical quasi-solution
     groundings: list[tuple[TGD, tuple[Fact, ...], Fact]]
     violations: list[Violation]
-    # fact -> indexes into `groundings` with the fact in the body (supports
-    # flowing *forward*) and with the fact as the head (supports of the fact).
-    supports_of: dict[Fact, list[int]] = field(default_factory=dict)
-    occurs_in_body_of: dict[Fact, list[int]] = field(default_factory=dict)
     # ----------------------------------------------- interned universe
     # fact -> dense id (0-based) and its inverse.
     fact_ids: dict[Fact, int] = field(default_factory=dict)
@@ -284,6 +280,9 @@ def build_exchange_data(
     set, and the lists and the interned id universe are put in canonical
     (sorted) order regardless of the evaluation order that found them.
 
+    The batch chase emits the groundings itself, so under ``"batch"``
+    there is no separate grounding stage (its timing reads 0).
+
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` / ``violations`` / ``index``
     (used by the micro-benchmarks; answer-neutral).  ``obs`` (a
@@ -309,18 +308,15 @@ def build_exchange_data(
     chase_stats: dict[str, int] | None = {} if metrics.enabled else None
     started = clock()
     if strategy == "batch":
-        from repro.chase.batch import (
-            batch_chase,
-            enumerate_groundings_batch,
-            find_violations_batch,
-        )
+        from repro.chase.batch import batch_chase, find_violations_batch
 
+        groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] = []
         with tracer.span("exchange.chase"):
-            chased = batch_chase(source_instance, tgds, stats=chase_stats)
-        chased_at = clock()
-        with tracer.span("exchange.groundings"):
-            groundings = list(enumerate_groundings_batch(tgds, chased))
-        grounded_at = clock()
+            # The chase finds each binding once and emits its grounding.
+            chased = batch_chase(
+                source_instance, tgds, stats=chase_stats, groundings=groundings
+            )
+        chased_at = grounded_at = clock()
         with tracer.span("exchange.violations"):
             violations = canonicalize_violations(
                 find_violations_batch(mapping.target_egds, chased)
@@ -344,28 +340,7 @@ def build_exchange_data(
         violations=violations,
     )
     with tracer.span("exchange.index"):
-        # Canonical grounding order: rule position, then head/body reprs.
-        # Violations are already canonical (canonicalize_violations); the
-        # chased facts are interned in sorted order by _build_fact_indexes.
-        # After this, every list and id in the exchange data is a pure
-        # function of the computed *sets* — strategy-independent.
-        rule_positions = {id(rule): index for index, rule in enumerate(tgds)}
-        fact_reprs: dict[Fact, str] = {}
-
-        def _repr_of(fact: Fact) -> str:
-            text = fact_reprs.get(fact)
-            if text is None:
-                text = fact_reprs[fact] = repr(fact)
-            return text
-
-        groundings.sort(
-            key=lambda grounding: (
-                rule_positions[id(grounding[0])],
-                _repr_of(grounding[2]),
-                tuple(_repr_of(fact) for fact in grounding[1]),
-            )
-        )
-        _build_fact_indexes(data)
+        _build_fact_indexes(data, tgds)
     if timings is not None:
         indexed_at = clock()
         timings["chase"] = chased_at - started
@@ -386,14 +361,17 @@ def build_exchange_data(
     return data
 
 
-def _build_fact_indexes(data: ExchangeData) -> None:
+def _build_fact_indexes(
+    data: ExchangeData, rules: list[TGD] | None = None
+) -> None:
     """Intern the chased facts and build every int-keyed adjacency index.
 
     One pass over the chase, one over the groundings, one over the
     violations; everything downstream (closures, envelopes, program
-    builders) then works on dense ids.  The legacy fact-keyed
-    ``supports_of`` / ``occurs_in_body_of`` views are populated from the
-    same pass for external callers.
+    builders) then works on dense ids.  Given the ``rules`` (a fresh
+    build), the groundings are first put in canonical order: rule
+    position, then head id, then body ids.  Ids follow repr order, so
+    this is the order of the facts' reprs, compared as ints.
     """
     intern = data.intern_fact
     # Sorted interning gives fresh builds a canonical id universe (the
@@ -401,31 +379,39 @@ def _build_fact_indexes(data: ExchangeData) -> None:
     # exist and interning is an order-insensitive no-op lookup.
     for fact in sorted(data.chased, key=repr):
         intern(fact)
+    id_of = data.fact_ids.__getitem__
+    groundings = data.groundings
+    position_of = {id(rule): index for index, rule in enumerate(rules or ())}
+    # (rule position, head id, body ids, list index) per grounding.
+    keyed = [
+        (
+            position_of.get(id(rule), 0),
+            id_of(head_fact),
+            tuple(map(id_of, body_facts)),
+            index,
+        )
+        for index, (rule, body_facts, head_fact) in enumerate(groundings)
+    ]
+    if rules is not None:
+        keyed.sort()
+        groundings[:] = [groundings[key[3]] for key in keyed]
 
+    grounding_bodies = data.grounding_bodies
+    grounding_heads = data.grounding_heads
     groundings_by_head = data.groundings_by_head
     occurs_in_body = data.occurs_in_body
-    supports_of = data.supports_of
-    occurs_in_body_of = data.occurs_in_body_of
-    # The fact-keyed views *alias* the id-keyed rows (same list objects),
-    # so the incremental mutators below keep both in sync with one write.
-    for index, (_rule, body_facts, head_fact) in enumerate(data.groundings):
-        head_id = intern(head_fact)
-        body_ids = tuple(dict.fromkeys(intern(f) for f in body_facts))
-        data.grounding_bodies.append(body_ids)
-        data.grounding_heads.append(head_id)
+    for index, (_position, head_id, body_ids, _old) in enumerate(keyed):
+        if len(body_ids) > 1:
+            body_ids = tuple(dict.fromkeys(body_ids))
+        grounding_bodies.append(body_ids)
+        grounding_heads.append(head_id)
         groundings_by_head[head_id].append(index)
-        supports_of[head_fact] = groundings_by_head[head_id]
         for body_id in body_ids:
             occurs_in_body[body_id].append(index)
-            occurs_in_body_of[data.facts_by_id[body_id]] = occurs_in_body[
-                body_id
-            ]
 
     violations_by_fact = data.violations_by_fact
     for index, violation in enumerate(data.violations):
-        body_ids = tuple(
-            dict.fromkeys(intern(f) for f in violation.body_facts)
-        )
+        body_ids = data.violation_body_ids(violation)
         data.violation_bodies.append(body_ids)
         for body_id in body_ids:
             violations_by_fact[body_id].append(index)
@@ -452,8 +438,6 @@ def rebuild_fact_indexes(data: ExchangeData) -> None:
     data.grounding_bodies.clear()
     data.grounding_heads.clear()
     data.violation_bodies.clear()
-    data.supports_of.clear()
-    data.occurs_in_body_of.clear()
     data._influence_cache.clear()
     _build_fact_indexes(data)
 
@@ -523,12 +507,8 @@ def append_grounding(
     data.grounding_bodies.append(body_ids)
     data.grounding_heads.append(head_id)
     data.groundings_by_head[head_id].append(index)
-    data.supports_of[head_fact] = data.groundings_by_head[head_id]
     for body_id in body_ids:
         data.occurs_in_body[body_id].append(index)
-        data.occurs_in_body_of[data.facts_by_id[body_id]] = (
-            data.occurs_in_body[body_id]
-        )
     return head_id, body_ids
 
 

@@ -1,14 +1,19 @@
-"""Tests for the set-at-a-time batch operators (PR 10 tentpole).
+"""Tests for the set-at-a-time batch operators.
 
 Every batch operator is checked against its tuple-at-a-time reference:
 ``batch_chase`` vs ``gav_chase`` (same fixpoint *and* same round/derived
-counters), ``enumerate_groundings_batch`` vs ``enumerate_groundings``
-(same grounding set under every planner mode, including forced SQLite
-push-down), ``find_violations_batch`` vs ``find_violations`` (same
-canonical violation list).  Internal mechanics with observable
-consequences — signature-shared indexes, the SQLite fallback latch —
-get direct tests too.
+counters), the groundings the chase emits and ``enumerate_groundings_batch``
+vs ``enumerate_groundings`` (same grounding set, each grounding exactly
+once, under every planner mode), ``find_violations_batch`` vs
+``find_violations`` (same canonical violation list).  Internal mechanics
+with observable consequences — signature-shared indexes, one object per
+fact — get direct tests too.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +37,6 @@ from repro.xr.exchange import canonicalize_violations, find_violations
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 FORCE_NESTED = BatchOptions(nested_threshold=10**9)
-FORCE_SQLITE = BatchOptions(nested_threshold=0, sqlite_threshold=1)
 
 
 def f(rel, *args):
@@ -73,12 +77,9 @@ class TestBatchChase:
         assert batch_stats["rounds"] >= 2  # the target-side join tgd fires
 
     def test_skolem_heads(self):
-        from repro.dependencies.tgds import TGD, SkolemTerm
-
-        skolem_rule = TGD([Atom("R", (X, Y))], [Atom("T", (X, SkolemTerm("f", [X])))])
         source = Instance([f("R", "a", "b"), f("R", "a", "c")])
-        assert set(batch_chase(source, [skolem_rule])) == set(
-            gav_chase(source, [skolem_rule])
+        assert set(batch_chase(source, [skolem_rule()])) == set(
+            gav_chase(source, [skolem_rule()])
         )
 
     def test_non_gav_rule_rejected(self):
@@ -90,6 +91,129 @@ class TestBatchChase:
             batch_chase(chain(16), TC_RULES, max_rounds=2)
 
 
+def skolem_rule():
+    from repro.dependencies.tgds import TGD, SkolemTerm
+
+    return TGD([Atom("R", (X, Y))], [Atom("T", (X, SkolemTerm("f", [X])))])
+
+
+#: (label, source instance, rules) cases for the grounding-emitting chase.
+CHASE_CASES = [
+    ("transitive closure", chain(), TC_RULES),
+    # A cycle makes tautological groundings (P(1,1), P(1,2) -> P(1,2)).
+    (
+        "closure over a cycle",
+        Instance([f("E", 1, 2), f("E", 2, 3), f("E", 3, 1)]),
+        TC_RULES,
+    ),
+    (
+        "skolem heads",
+        Instance([f("R", "a", "b"), f("R", "a", "c"), f("R", "d", "b")]),
+        [skolem_rule(), rule("T(x, y) -> U(y, x).")],
+    ),
+    (
+        "a body that repeats one atom",
+        chain(5),
+        [
+            rule("E(x,y) -> P(x,y)."),
+            rule("P(x,y), P(x,y) -> Q(x,y)."),
+            rule("P(x,y), Q(y,z), P(x,y) -> P(x,z)."),
+        ],
+    ),
+]
+
+
+class TestChaseGroundings:
+    """``batch_chase(..., groundings=out)`` finds every binding once."""
+
+    @staticmethod
+    def run(instance, rules):
+        emitted: list = []
+        stats: dict[str, int] = {}
+        chased = batch_chase(instance, rules, stats=stats, groundings=emitted)
+        return chased, emitted, stats
+
+    @pytest.mark.parametrize(
+        "label,instance,rules", CHASE_CASES, ids=[case[0] for case in CHASE_CASES]
+    )
+    def test_each_grounding_emitted_exactly_once(self, label, instance, rules):
+        _chased, emitted, _stats = self.run(instance, rules)
+        keys = [(id(rule), body, head) for rule, body, head in emitted]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize(
+        "label,instance,rules", CHASE_CASES, ids=[case[0] for case in CHASE_CASES]
+    )
+    def test_emitted_set_matches_enumerate_groundings(self, label, instance, rules):
+        chased, emitted, _stats = self.run(instance, rules)
+        reference = list(enumerate_groundings(rules, chased))
+        assert len(emitted) == len(reference)
+        assert {(id(r), b, h) for r, b, h in emitted} == {
+            (id(r), b, h) for r, b, h in reference
+        }
+
+    @pytest.mark.parametrize(
+        "label,instance,rules", CHASE_CASES, ids=[case[0] for case in CHASE_CASES]
+    )
+    def test_facts_are_the_stored_objects(self, label, instance, rules):
+        chased, emitted, _stats = self.run(instance, rules)
+        stored = {fact: fact for fact in chased}
+        assert emitted
+        for _rule, body, head in emitted:
+            assert stored[head] is head
+            for fact in body:
+                assert stored[fact] is fact
+
+    @pytest.mark.parametrize(
+        "label,instance,rules", CHASE_CASES, ids=[case[0] for case in CHASE_CASES]
+    )
+    def test_counters_and_fixpoint_match_gav_chase(self, label, instance, rules):
+        chased, _emitted, stats = self.run(instance, rules)
+        reference_stats: dict[str, int] = {}
+        reference = gav_chase(instance, rules, stats=reference_stats)
+        assert set(chased) == set(reference)
+        assert stats == reference_stats
+
+    def test_tautologies_are_dropped(self):
+        _label, instance, rules = CHASE_CASES[1]
+        chased, emitted, _stats = self.run(instance, rules)
+        assert f("P", 1, 1) in chased
+        assert all(head not in body for _rule, body, head in emitted)
+
+    def test_fact_ids_and_grounding_order_stable_across_hash_seeds(self):
+        """An L-grid exchange interns the same facts in the same order and
+        lists its groundings in the same order under any PYTHONHASHSEED."""
+        program = (
+            "import hashlib\n"
+            "from repro.bench.micro import parse_scenario_name\n"
+            "from repro.genomics.instances import build_instance\n"
+            "from repro.genomics.schema import genome_mapping\n"
+            "from repro.reduction.reduce import reduce_mapping\n"
+            "from repro.xr.exchange import build_exchange_data\n"
+            "instance = build_instance(parse_scenario_name('L9')).instance\n"
+            "data = build_exchange_data(reduce_mapping(genome_mapping()).gav, instance)\n"
+            "digest = hashlib.sha256()\n"
+            "for fact in data.facts_by_id:\n"
+            "    digest.update(repr(fact).encode())\n"
+            "for rule, body, head in data.groundings:\n"
+            "    digest.update(repr((rule.label, body, head)).encode())\n"
+            "print(len(data.facts_by_id), len(data.groundings), digest.hexdigest())\n"
+        )
+        outputs = []
+        for hash_seed in ("0", "424242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            src = str(Path(__file__).resolve().parents[2] / "src")
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            result = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        facts, groundings, _digest = outputs[0].split()
+        assert int(facts) > 0 and int(groundings) > 0
+
+
 class TestPlanner:
     def test_tiny_bodies_stay_nested(self):
         instance = Instance([f("R", 1, 2)])
@@ -98,11 +222,6 @@ class TestPlanner:
     def test_medium_bodies_hash(self):
         instance = Instance([f("R", i, i) for i in range(50)])
         assert plan_mode(instance, [Atom("R", (X, Y))], BatchOptions()) == "hash"
-
-    def test_large_bodies_sqlite(self):
-        instance = Instance([f("R", i, i) for i in range(50)])
-        options = BatchOptions(sqlite_threshold=40)
-        assert plan_mode(instance, [Atom("R", (X, Y))], options) == "sqlite"
 
 
 class TestGroundings:
@@ -136,28 +255,6 @@ class TestGroundings:
         assert got == self.reference_of(TC_RULES, chased)
         assert set(plan_log.values()) == {"nested"}
 
-    def test_sqlite_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(
-            TC_RULES, chased, options=FORCE_SQLITE, plan_log=plan_log
-        )
-        assert got == self.reference_of(TC_RULES, chased)
-        assert set(plan_log.values()) == {"sqlite"}
-
-    def test_sqlite_falls_back_on_unencodable_values(self):
-        # Booleans have no stable SQLite affinity here; the plan must
-        # degrade to the hash join and still return the right set.
-        instance = gav_chase(
-            Instance([f("E", True, False), f("E", False, True)]), TC_RULES
-        )
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(
-            TC_RULES, instance, options=FORCE_SQLITE, plan_log=plan_log
-        )
-        assert got == self.reference_of(TC_RULES, instance)
-        assert set(plan_log.values()) == {"hash"}
-
     def test_tautological_groundings_dropped(self):
         loop = Instance([f("P", 1, 1)])
         assert self.groundings_of(TC_RULES[1:], loop) == set()
@@ -186,12 +283,11 @@ class TestViolations:
         for label, options in (
             ("nested", FORCE_NESTED),
             ("hash", BatchOptions()),
-            ("sqlite", FORCE_SQLITE),
         ):
             results[label] = canonicalize_violations(
                 find_violations_batch(gav.target_egds, chased, options=options)
             )
-        assert results["nested"] == results["hash"] == results["sqlite"]
+        assert results["nested"] == results["hash"]
 
 
 class TestIndexSharing:

@@ -33,16 +33,21 @@ class TestBuildExchangeData:
         assert f("P", "a", "b") in quasi and f("P", "a", "c") in quasi
 
     def test_groundings_indexed(self, key_setup):
-        supports = key_setup.supports_of[f("P", "a", "b")]
+        head_id = key_setup.fact_ids[f("P", "a", "b")]
+        supports = key_setup.groundings_by_head[head_id]
         assert len(supports) == 1
         _rule, body, head = key_setup.groundings[supports[0]]
         assert body == (f("R", "a", "b"),)
         assert head == f("P", "a", "b")
 
     def test_occurs_in_body_index(self, key_setup):
-        indexes = key_setup.occurs_in_body_of[f("R", "a", "b")]
+        body_id = key_setup.fact_ids[f("R", "a", "b")]
+        indexes = key_setup.occurs_in_body[body_id]
         heads = {key_setup.groundings[i][2] for i in indexes}
         assert f("P", "a", "b") in heads
+        assert {key_setup.grounding_heads[i] for i in indexes} == {
+            key_setup.fact_ids[f("P", "a", "b")]
+        }
 
     def test_violations_found(self, key_setup):
         assert len(key_setup.violations) == 1

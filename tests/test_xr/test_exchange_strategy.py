@@ -28,12 +28,14 @@ CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 COMPARED_FIELDS = (
     "groundings",
     "violations",
-    "supports_of",
-    "occurs_in_body_of",
     "fact_ids",
     "facts_by_id",
     "grounding_bodies",
     "grounding_heads",
+    "groundings_by_head",
+    "occurs_in_body",
+    "violation_bodies",
+    "violations_by_fact",
 )
 
 

@@ -73,13 +73,6 @@ def check_violation_indexes(data: ExchangeData) -> None:
         assert data.violations_by_fact[fact_id] == naive
 
 
-def check_legacy_views_agree(data: ExchangeData) -> None:
-    for fact, indexes in data.supports_of.items():
-        assert data.groundings_by_head[data.fact_ids[fact]] == indexes
-    for fact, indexes in data.occurs_in_body_of.items():
-        assert data.occurs_in_body[data.fact_ids[fact]] == indexes
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_indexes_agree_with_naive_scans_on_fuzz_scenarios(seed):
@@ -87,7 +80,6 @@ def test_indexes_agree_with_naive_scans_on_fuzz_scenarios(seed):
     check_universe(data)
     check_grounding_indexes(data)
     check_violation_indexes(data)
-    check_legacy_views_agree(data)
 
 
 @settings(max_examples=15, deadline=None)
@@ -112,7 +104,6 @@ def test_indexes_on_genomics_instance():
     check_universe(data)
     check_grounding_indexes(data)
     check_violation_indexes(data)
-    check_legacy_views_agree(data)
 
 
 def test_influence_cache_matches_uncached_walk():
