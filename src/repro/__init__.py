@@ -48,7 +48,6 @@ from repro.parser import (
 )
 from repro.chase import (
     canonical_universal_solution,
-    gav_chase,
     has_solution,
     standard_chase,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "canonical_universal_solution",
     "evaluate",
     "evaluate_constants_only",
-    "gav_chase",
     "has_solution",
     "is_weakly_acyclic",
     "parse_dependency",

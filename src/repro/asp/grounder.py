@@ -5,7 +5,7 @@ Grounding proceeds in two passes, the standard bottom-up recipe:
 1. **Possible atoms.**  Compute an overapproximation of the atoms that can
    ever be derived, by evaluating the *positive projection* of the program
    (each rule contributes one horn rule per head atom; negation and
-   comparisons are ignored) to a fixpoint with the semi-naive GAV chase.
+   comparisons are ignored) to a fixpoint with the batch chase.
 2. **Instantiation.**  For every rule, match its positive body against the
    possible atoms, check the comparisons, keep negative literals only when
    their atom is possible (impossible atoms are simply false), and emit the
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule, Rule
-from repro.chase.gav import gav_chase
+from repro.chase.batch import batch_chase
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import match_atoms
@@ -34,7 +34,7 @@ def compute_possible_atoms(rules: Sequence[Rule], facts: Instance) -> Instance:
             continue
         for head_atom in rule.head:
             horn.append(TGD(rule.body_pos, [head_atom], label=f"possible:{rule.label}"))
-    return gav_chase(facts, horn)
+    return batch_chase(facts, horn)
 
 
 def ground(

@@ -16,7 +16,6 @@ from repro.bench.micro import (
     MICRO_RATES,
     MICRO_SIZES,
     MICRO_TPCH_CELLS,
-    STRATEGY_STAGES,
     compare_payloads,
     format_micro_table,
     micro_scenario_names,
@@ -44,7 +43,6 @@ __all__ = [
     "MICRO_RATES",
     "MICRO_SIZES",
     "MICRO_TPCH_CELLS",
-    "STRATEGY_STAGES",
     "compare_payloads",
     "format_micro_table",
     "micro_scenario_names",

@@ -18,22 +18,14 @@ Three measured stages, per genomics scenario (size × suspect rate):
 - **incremental** — one single-tuple delta (retract + re-insert of a
   suspect source fact, the cluster-touching worst case) applied through
   :class:`~repro.incremental.UpdateSession`, against the full re-exchange
-  baseline; the reported ``speedup`` is the PR 7 acceptance number;
-- **exchange strategy** — the exchange phase re-measured under **both**
-  chase strategies (set-at-a-time ``batch`` vs the per-tuple reference),
-  interleaved so scheduler drift hits both alike, with the per-strategy
-  medians over the strategy-dependent stages (chase + groundings +
-  violations) and their ratio emitted as ``exchange_strategy_s`` (the
-  PR 10 acceptance number); the two runs' exchange data is asserted
-  bit-identical before the ratio is reported.
+  baseline; the reported ``speedup`` is the PR 7 acceptance number.
 
 Scenario names are either genomics grid cells (``"M9"``) or TPC-H grid
 cells (``"tpch-sf0.01-r0.2"``, see :mod:`repro.scenarios.tpch`).  TPC-H
-rows carry the exchange and exchange-strategy stages only — the genomics
-query/solve/incremental stages are tied to the genomics query set.  Every
-row embeds a ``meta`` object (scenario family, exchange strategy, and the
-stage labels actually observed in that run) so artifacts stay
-self-describing as stages evolve.
+rows carry the exchange stage only — the genomics query/solve/incremental
+stages are tied to the genomics query set.  Every row embeds a ``meta``
+object (scenario family and the stage labels actually observed in that
+run) so artifacts stay self-describing as stages evolve.
 
 The paper's practicality claim (§5–§6) rests on the first two stages
 being PTIME-cheap so the NP-hard solving dominates; these benchmarks
@@ -50,7 +42,6 @@ post-optimization artifact (see ``benchmarks/README.md``).
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 from typing import Callable
@@ -80,18 +71,12 @@ MICRO_RATES: tuple[float, ...] = (0.0, 0.03, 0.09, 0.20)
 MICRO_QUERIES: tuple[str, ...] = ("ep2", "xr2", "xr4")
 
 #: TPC-H cells appended to the default grid: two SF 0.01 cells (clean and
-#: 20 % injected) plus one larger cell so the batch-vs-tuple ratio is
-#: measured away from fixed-cost territory.
+#: 20 % injected) plus one larger cell, away from fixed-cost territory.
 MICRO_TPCH_CELLS: tuple[str, ...] = (
     "tpch-sf0.01-r0",
     "tpch-sf0.01-r0.2",
     "tpch-sf0.03-r0.2",
 )
-
-#: Exchange stages whose cost depends on the chase strategy.  Interning,
-#: fact-index, and envelope construction are shared code on both paths;
-#: the ``exchange_strategy_s`` ratio is computed over these stages only.
-STRATEGY_STAGES: tuple[str, ...] = ("chase", "groundings", "violations")
 
 
 def micro_scenario_names(
@@ -142,7 +127,6 @@ def _measure_exchange(
     instance,
     repeats: int,
     obs: Recorder | None,
-    strategy: str,
 ) -> tuple[list[dict[str, float]], object, object]:
     """The shared exchange-stage measurement loop (genomics and TPC-H)."""
     exchange_runs: list[dict[str, float]] = []
@@ -151,9 +135,7 @@ def _measure_exchange(
     for _ in range(max(1, repeats)):
         timings: dict[str, float] = {}
         started = time.perf_counter()
-        data = build_exchange_data(
-            gav, instance, timings=timings, obs=obs, strategy=strategy
-        )
+        data = build_exchange_data(gav, instance, timings=timings, obs=obs)
         built_at = time.perf_counter()
         analysis = analyze_envelopes(data)
         done = time.perf_counter()
@@ -165,54 +147,12 @@ def _measure_exchange(
     return exchange_runs, data, analysis
 
 
-def _exchange_strategy_series(gav, instance, repeats: int, label: str) -> dict:
-    """Per-strategy exchange-phase medians and their ratio.
-
-    Strategies are interleaved within each repeat so clock drift and
-    scheduler noise hit both alike, and the ratio is taken over the
-    strategy-dependent stages (:data:`STRATEGY_STAGES`) — the shared
-    interning/index/envelope costs would otherwise dilute it on small
-    instances.  The two strategies' exchange data must be bit-identical;
-    a mismatch is a correctness bug, not a benchmark artifact.
-    """
-    per: dict[str, list[float]] = {"batch": [], "tuple": []}
-    datas: dict[str, object] = {}
-    for strategy in per:  # warm-up, excluded from the medians
-        datas[strategy] = build_exchange_data(gav, instance, strategy=strategy)
-    # A fragmented/large live heap from earlier stages slows the
-    # allocation-heavy batch path disproportionately; start clean.
-    gc.collect()
-    for _ in range(max(1, repeats)):
-        for strategy in per:
-            timings: dict[str, float] = {}
-            datas[strategy] = build_exchange_data(
-                gav, instance, timings=timings, strategy=strategy
-            )
-            per[strategy].append(
-                sum(timings.get(stage, 0.0) for stage in STRATEGY_STAGES)
-            )
-    batch_data, tuple_data = datas["batch"], datas["tuple"]
-    for field in ("chased", "groundings", "violations", "fact_ids"):
-        assert getattr(batch_data, field) == getattr(tuple_data, field), (
-            f"exchange-strategy {field} mismatch on {label}"
-        )
-    batch = _median(per["batch"])
-    tuple_ = _median(per["tuple"])
-    return {
-        "stages": list(STRATEGY_STAGES),
-        "batch": round(batch, 6),
-        "tuple": round(tuple_, 6),
-        "speedup": round(tuple_ / batch, 2) if batch > 0 else float("inf"),
-    }
-
-
 def run_micro_scenario(
     name: str,
     reduced: ReducedMapping | None = None,
     repeats: int = 3,
     queries: tuple[str, ...] = MICRO_QUERIES,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Measure one genomics scenario; returns the per-stage median payload.
 
@@ -227,13 +167,7 @@ def run_micro_scenario(
     instance = build_instance(profile).instance
 
     exchange_runs, data, analysis = _measure_exchange(
-        reduced.gav, instance, repeats, obs, exchange_strategy
-    )
-    # Measure the strategy series while the heap still looks like the
-    # exchange stage's — the solve/incremental stages below leave enough
-    # live garbage to skew an allocation-sensitive comparison.
-    strategy_series = _exchange_strategy_series(
-        reduced.gav, instance, repeats, name
+        reduced.gav, instance, repeats, obs
     )
     counts = {
         "source_facts": len(instance),
@@ -347,14 +281,9 @@ def run_micro_scenario(
             "transcripts": profile.transcripts,
             "suspect_rate": profile.suspect_fraction,
         },
-        "meta": {
-            "scenario_family": "genomics",
-            "exchange_strategy": exchange_strategy,
-            "stages": stages,
-        },
+        "meta": {"scenario_family": "genomics", "stages": stages},
         "counts": counts,
         "exchange_s": exchange_medians,
-        "exchange_strategy_s": strategy_series,
         "query_s": query_medians,
         "solve_strategy_s": solve_strategies,
         "incremental_s": incremental,
@@ -367,13 +296,11 @@ def run_tpch_micro_scenario(
     name: str,
     repeats: int = 3,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Measure one TPC-H grid cell (``"tpch-sf0.01-r0.2"``).
 
-    TPC-H rows carry the exchange stage and the batch-vs-tuple
-    ``exchange_strategy_s`` series; the query/solve/incremental stages
-    are genomics-specific and absent here (consumers must treat them as
+    TPC-H rows carry the exchange stage; the query/solve/incremental
+    stages are genomics-specific and absent here (consumers must treat them as
     optional — :func:`format_micro_table` and :func:`compare_payloads`
     do).
     """
@@ -383,7 +310,7 @@ def run_tpch_micro_scenario(
     instance = scenario.instance
 
     exchange_runs, data, analysis = _measure_exchange(
-        reduced.gav, instance, repeats, obs, exchange_strategy
+        reduced.gav, instance, repeats, obs
     )
     stages = _stage_labels(exchange_runs)
     exchange_medians = {
@@ -397,11 +324,7 @@ def run_tpch_micro_scenario(
             "ratio": ratio,
             "seed": scenario.seed,
         },
-        "meta": {
-            "scenario_family": "tpch",
-            "exchange_strategy": exchange_strategy,
-            "stages": stages,
-        },
+        "meta": {"scenario_family": "tpch", "stages": stages},
         "counts": {
             "source_facts": len(instance),
             "injected_facts": len(scenario.injected),
@@ -412,9 +335,6 @@ def run_tpch_micro_scenario(
             "suspect_source_facts": len(analysis.suspect_source),
         },
         "exchange_s": exchange_medians,
-        "exchange_strategy_s": _exchange_strategy_series(
-            reduced.gav, instance, repeats, name
-        ),
     }
 
 
@@ -424,7 +344,6 @@ def run_micro(
     queries: tuple[str, ...] = MICRO_QUERIES,
     log: Callable[[str], None] | None = None,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Run the micro-benchmark grid and return the artifact payload."""
     if scenarios is None:
@@ -435,13 +354,12 @@ def run_micro(
         started = time.perf_counter()
         if name.startswith("tpch-"):
             results[name] = run_tpch_micro_scenario(
-                name, repeats=repeats, obs=obs,
-                exchange_strategy=exchange_strategy,
+                name, repeats=repeats, obs=obs
             )
         else:
             results[name] = run_micro_scenario(
                 name, reduced=reduced, repeats=repeats, queries=queries,
-                obs=obs, exchange_strategy=exchange_strategy,
+                obs=obs,
             )
         if log is not None:
             row = results[name]
@@ -450,9 +368,6 @@ def run_micro(
             if query_s is not None:
                 parts.append(f"program-build {query_s['program_build']:.3f}s")
                 parts.append(f"solve {query_s['solve']:.3f}s")
-            strategy_s = row.get("exchange_strategy_s")
-            if strategy_s is not None:
-                parts.append(f"batch/tuple {strategy_s['speedup']:.2f}x")
             log(
                 f"{name:>4}: " + "  ".join(parts)
                 + f"  ({time.perf_counter() - started:.1f}s wall)"
@@ -461,7 +376,6 @@ def run_micro(
         "kind": "repro-micro-benchmark",
         "repeats": repeats,
         "queries": list(queries),
-        "exchange_strategy": exchange_strategy,
         "scenarios": results,
     }
 
@@ -472,7 +386,6 @@ def format_micro_table(payload: dict) -> str:
     for name, row in payload["scenarios"].items():
         incremental = row.get("incremental_s")  # absent in pre-PR7 payloads
         strategies = row.get("solve_strategy_s")  # absent in pre-PR8 payloads
-        exchange_strategies = row.get("exchange_strategy_s")  # pre-PR10
         query_s = row.get("query_s")  # absent on TPC-H rows
         rows.append(
             [
@@ -481,8 +394,6 @@ def format_micro_table(payload: dict) -> str:
                 row["counts"]["groundings"],
                 row["counts"]["suspect_source_facts"],
                 f"{row['exchange_s']['total']:.3f}",
-                f"{exchange_strategies['speedup']:.1f}x"
-                if exchange_strategies else "-",
                 f"{query_s['program_build']:.3f}" if query_s else "-",
                 f"{query_s['solve']:.3f}" if query_s else "-",
                 f"{strategies['speedup']:.1f}x" if strategies else "-",
@@ -492,7 +403,7 @@ def format_micro_table(payload: dict) -> str:
         )
     return format_table(
         ["scenario", "facts", "groundings", "suspects",
-         "exchange[s]", "batch", "build[s]", "solve[s]", "strategy",
+         "exchange[s]", "build[s]", "solve[s]", "strategy",
          "1-delta[s]", "incr"],
         rows,
         title=f"micro-benchmark medians over {payload['repeats']} repeat(s)",

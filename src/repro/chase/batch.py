@@ -1,9 +1,8 @@
-"""Set-at-a-time batch evaluation for the exchange phase.
+"""Set-at-a-time batch evaluation: the one exchange engine.
 
-The tuple-at-a-time evaluator (:mod:`repro.chase.gav`,
-:mod:`repro.relational.queries`) walks one candidate fact at a time and
-copies a binding dict per successful match.  This module replaces those
-inner loops with **batch operators** over tuple rows:
+The chase, the support sets (groundings) and the egd violations of the
+exchange phase are all computed here, by **batch operators** over tuple
+rows:
 
 - a binding is a plain ``tuple`` laid out by a fixed slot assignment
   compiled per plan: each atom's new variables, then the stored fact it
@@ -12,13 +11,15 @@ inner loops with **batch operators** over tuple rows:
 - each join level is a compiled :class:`_AtomStep` probing a multi-column
   **hash index** over the relation extension — built once per
   (relation, key-positions) signature, shared across rules, and maintained
-  incrementally as the chase derives new facts;
+  incrementally as facts arrive and leave;
 - constant filters and repeated-variable checks are folded into the index
   build, so they run once per stored fact instead of once per probe.
 
-:func:`batch_chase` is a duplicate-free semi-naive chase: every binding
-is found exactly once, in the round its last body fact arrives, so it can
-emit the groundings (support sets) of the chased instance as it goes.
+:class:`ChaseState` is a resumable, duplicate-free semi-naive chase: every
+binding is found exactly once, in the round its last body fact arrives,
+so it emits the groundings (support sets) as it goes.  :func:`batch_chase`
+runs it once over a whole instance; an update session keeps one alive and
+extends it with each delta's new facts (:mod:`repro.incremental.chase`).
 
 The one-shot joins over a finished instance (:func:`find_violations_batch`,
 :func:`enumerate_groundings_batch`) ask a small **planner**
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.chase.gav import _check_rules, compile_substituter
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
@@ -65,6 +65,36 @@ def plan_mode(
 
 
 # --------------------------------------------------------------- compilation
+
+
+def compile_substituter(atom: Atom) -> Callable[[dict[Variable, Any]], Fact]:
+    """A function instantiating a body atom (variables/constants only)."""
+    relation = atom.relation
+    ops: list[tuple[bool, Any]] = []
+    for term in atom.terms:
+        if isinstance(term, Variable):
+            ops.append((True, term))
+        elif isinstance(term, Const):
+            ops.append((False, term.value))
+        else:
+            raise TypeError(f"cannot ground term {term!r}")
+
+    def substitute(binding: dict[Variable, Any]) -> Fact:
+        return Fact(
+            relation,
+            [binding[payload] if is_var else payload for is_var, payload in ops],
+        )
+
+    return substitute
+
+
+def _check_rules(rules: Sequence[TGD]) -> None:
+    for rule in rules:
+        if not rule.is_gav():
+            raise ValueError(
+                f"{rule.label}: batch_chase requires GAV rules "
+                "(single head atom, no existential variables)"
+            )
 
 
 def _key_projector(positions: Sequence[int]) -> Callable[[Sequence], Any]:
@@ -192,10 +222,11 @@ class _IndexCache:
     projection): plans that join the same relation the same way — e.g.
     the two self-join atoms of every key egd over one relation — share a
     single index.  Each index is built exactly once from the extension
-    and then extended fact-by-fact as the chase derives new rows
-    (:meth:`add_fact`).  Bucket entries are ``(extension, arrival)``;
-    facts present at build time arrive at 0, and since later facts are
-    appended in arrival order, every bucket is sorted by arrival.
+    (or from an explicitly ordered fact list) and then maintained
+    fact-by-fact (:meth:`add_fact`, :meth:`remove_fact`).  Bucket entries
+    are ``(extension, arrival)``; facts present at build time arrive at 0,
+    and since later facts are appended in arrival order and removal keeps
+    the order of the rest, every bucket stays sorted by arrival.
     """
 
     __slots__ = ("instance", "_by_signature", "_by_relation")
@@ -205,12 +236,18 @@ class _IndexCache:
         self._by_signature: dict[tuple, dict] = {}
         self._by_relation: dict[str, list[tuple[_AtomStep, dict]]] = {}
 
-    def index_for(self, step: _AtomStep) -> dict[Any, list[tuple]]:
+    def index_for(
+        self, step: _AtomStep, facts: Iterable[Fact] | None = None
+    ) -> dict[Any, list[tuple]]:
+        """The index for ``step``; a first call builds it from ``facts``
+        (default: the relation's extension, in set order)."""
         index = self._by_signature.get(step.signature)
         if index is None:
             index = {}
             admit = step.admit
-            for fact in self.instance.facts_of(step.relation):
+            if facts is None:
+                facts = self.instance.facts_of(step.relation)
+            for fact in facts:
                 entry = admit(fact)
                 if entry is not None:
                     index.setdefault(entry[0], []).append((entry[1], 0))
@@ -225,6 +262,20 @@ class _IndexCache:
             entry = step.admit(fact)
             if entry is not None:
                 index.setdefault(entry[0], []).append((entry[1], arrival))
+
+    def remove_fact(self, fact: Fact) -> None:
+        """Drop the entries of ``fact`` (the indexed object itself)."""
+        for step, index in self._by_relation.get(fact.relation, ()):
+            entry = step.admit(fact)
+            if entry is None:
+                continue
+            bucket = index[entry[0]]
+            for position, (extension, _arrival) in enumerate(bucket):
+                if extension[-1] is fact:
+                    del bucket[position]
+                    break
+            if not bucket:
+                del index[entry[0]]
 
 
 def _probe(
@@ -313,6 +364,39 @@ def compile_slot_head(
     return head_args
 
 
+def compile_violation_check(
+    egd: EGD, layout: dict[Any, int], body_of: Callable[[tuple], tuple]
+) -> Callable[[list[tuple], list], None]:
+    """The violation test of an egd, compiled against a slot layout.
+
+    The result appends a :class:`~repro.xr.exchange.Violation` to ``out``
+    for every row whose grounded equality fails.  For constants-only
+    egds, only clashes between two distinct constants count — skolem
+    values stand for nulls, which the original chase would simply unify.
+    """
+    from repro.xr.exchange import Violation
+
+    lhs_slot = layout[egd.lhs]
+    rhs_is_var = isinstance(egd.rhs, Variable)
+    rhs_slot = layout[egd.rhs] if rhs_is_var else None
+    rhs_const = None if rhs_is_var else egd.rhs.value
+    constants_only = egd.constants_only
+
+    def collect(rows: list[tuple], out: list) -> None:
+        for row in rows:
+            lhs_value = row[lhs_slot]
+            rhs_value = row[rhs_slot] if rhs_is_var else rhs_const
+            if lhs_value == rhs_value:
+                continue
+            if constants_only and not (
+                is_constant_value(lhs_value) and is_constant_value(rhs_value)
+            ):
+                continue
+            out.append(Violation(egd, body_of(row), lhs_value, rhs_value))
+
+    return collect
+
+
 # ------------------------------------------------------------- full-body join
 
 
@@ -370,63 +454,235 @@ class _BodyPlan:
 
 
 class _PivotPlan:
-    """One (rule, pivot-position) plan of the semi-naive chase.
+    """One (body, pivot-position) plan of a semi-naive join.
 
     The pivot atom seeds rows from delta facts; ``probes`` pairs each
     remaining atom's step with an ``old_only`` flag, set for the body
     atoms *before* the pivot: they match only facts that arrived before
-    the current round, so a binding with several delta facts is found
-    exactly once — by the plan pivoting on its first delta atom.
+    the delta, so a binding with several delta facts is found exactly
+    once — by the plan pivoting on its first delta atom.
     """
 
-    __slots__ = (
-        "rule",
-        "seed",
-        "probes",
-        "head_args",
-        "head_relation",
-        "body_of",
-        "tautology_slots",
-    )
+    __slots__ = ("seed", "probes", "layout", "fact_slots", "body_of")
 
-    def __init__(self, instance: Instance, rule: TGD, position: int) -> None:
-        self.rule = rule
-        layout: dict[Any, int] = {}
-        pivot = rule.body[position]
-        self.seed = _AtomStep(pivot, layout)
-        rest = [atom for index, atom in enumerate(rule.body) if index != position]
+    def __init__(
+        self, instance: Instance, body: Sequence[Atom], position: int
+    ) -> None:
+        self.layout: dict[Any, int] = {}
+        pivot = body[position]
+        self.seed = _AtomStep(pivot, self.layout)
+        rest = [atom for index, atom in enumerate(body) if index != position]
         ordered = plan_join_order(instance, rest, pivot.variables())
         positions = [
             index + (index >= position) for index in _body_positions(ordered, rest)
         ]
-        steps = [_AtomStep(atom, layout) for atom in ordered]
+        steps = [_AtomStep(atom, self.layout) for atom in ordered]
         self.probes = [
             (step, body_index < position)
             for step, body_index in zip(steps, positions)
         ]
-        fact_slots = [0] * len(rule.body)
-        fact_slots[position] = self.seed.fact_slot
+        self.fact_slots = [0] * len(body)
+        self.fact_slots[position] = self.seed.fact_slot
         for step, body_index in zip(steps, positions):
-            fact_slots[body_index] = step.fact_slot
-        self.body_of = _tuple_projector(fact_slots)
-        self.head_args = compile_slot_head(rule, layout)
-        self.head_relation = rule.head[0].relation
-        # A grounding is tautological when its head is one of its own body
-        # facts; only atoms over the head's relation can be that fact.
-        self.tautology_slots = tuple(
-            fact_slots[index]
-            for index, atom in enumerate(rule.body)
-            if atom.relation == self.head_relation
-        )
+            self.fact_slots[body_index] = step.fact_slot
+        self.body_of = _tuple_projector(self.fact_slots)
 
-    def seed_rows(self, facts: Iterable[Fact]) -> list[tuple]:
+    def rows(
+        self, facts: Iterable[Fact], cache: _IndexCache, before: int
+    ) -> list[tuple]:
+        """Every binding seeded by ``facts`` at the pivot, the atoms
+        before it matching only facts that arrived before ``before``."""
         admit = self.seed.admit
         rows = []
         for fact in facts:
             entry = admit(fact)
             if entry is not None:
                 rows.append(entry[1])
+        for step, old_only in self.probes:
+            if not rows:
+                break
+            rows = _probe(
+                step, cache.index_for(step), rows, before if old_only else None
+            )
         return rows
+
+
+class _RulePlan(_PivotPlan):
+    """A pivot plan over a GAV rule body, with its compiled head."""
+
+    __slots__ = ("rule", "head_args", "head_relation", "tautology_slots")
+
+    def __init__(self, instance: Instance, rule: TGD, position: int) -> None:
+        super().__init__(instance, rule.body, position)
+        self.rule = rule
+        self.head_args = compile_slot_head(rule, self.layout)
+        self.head_relation = rule.head[0].relation
+        # A grounding is tautological when its head is one of its own body
+        # facts; only atoms over the head's relation can be that fact.
+        self.tautology_slots = tuple(
+            self.fact_slots[index]
+            for index, atom in enumerate(rule.body)
+            if atom.relation == self.head_relation
+        )
+
+
+class _EgdPlan(_PivotPlan):
+    """A pivot plan over an egd body, with its compiled violation test."""
+
+    __slots__ = ("collect",)
+
+    def __init__(self, instance: Instance, egd: EGD, position: int) -> None:
+        super().__init__(instance, egd.body, position)
+        self.collect = compile_violation_check(egd, self.layout, self.body_of)
+
+
+def _by_relation(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
+    grouped: dict[str, list[Fact]] = {}
+    for fact in facts:
+        grouped.setdefault(fact.relation, []).append(fact)
+    return grouped
+
+
+class ChaseState:
+    """The resumable loop state of the batch chase.
+
+    Owns (and mutates) the ``work`` instance, plus everything a round
+    needs: the signature-shared :class:`_IndexCache`, the per-relation
+    ``{args: Fact}`` map through which every derived head resolves to its
+    one stored object, the compiled pivot plans of the ``rules`` (and of
+    the ``egds``, for :meth:`violations`), and a running ``arrival``
+    counter stamping each batch of facts into the index buckets.
+
+    Facts present at construction arrive at 0; their indexes are built in
+    the order of ``order`` (every fact of ``work``; default: set order).
+    :meth:`insert` opens a new arrival, :meth:`extend` chases from one,
+    :meth:`retract` removes facts.  Whatever the history, a plan's old
+    side (arrival before the delta) holds exactly the facts that were
+    present before it, which is what makes each binding found once.
+    """
+
+    __slots__ = (
+        "work", "rules", "arrival", "cache", "stored", "plans", "egd_plans"
+    )
+
+    def __init__(
+        self,
+        work: Instance,
+        rules: Sequence[TGD],
+        egds: Sequence[EGD] = (),
+        order: Iterable[Fact] | None = None,
+    ) -> None:
+        _check_rules(rules)
+        self.work = work
+        self.rules = list(rules)
+        self.arrival = 0
+        self.cache = _IndexCache(work)
+        self.stored: dict[str, dict[tuple, Fact]] = {}
+        for fact in work:
+            self.stored.setdefault(fact.relation, {})[fact.args] = fact
+        self.plans: dict[str, list[_RulePlan]] = {}
+        for rule in self.rules:
+            for position in range(len(rule.body)):
+                plan = _RulePlan(work, rule, position)
+                self.stored.setdefault(plan.head_relation, {})
+                self.plans.setdefault(plan.seed.relation, []).append(plan)
+        self.egd_plans: dict[str, list[_EgdPlan]] = {}
+        for egd in egds:
+            for position in range(len(egd.body)):
+                plan = _EgdPlan(work, egd, position)
+                self.egd_plans.setdefault(plan.seed.relation, []).append(plan)
+        ordered: dict[str, list[Fact]] = {}
+        if order is not None:
+            stored = self.stored
+            ordered = _by_relation(
+                stored[fact.relation][fact.args]
+                for fact in order
+                if fact.args in stored.get(fact.relation, ())
+            )
+        for plans in (*self.plans.values(), *self.egd_plans.values()):
+            for plan in plans:
+                for step, _old_only in plan.probes:
+                    # Built now, while every fact present arrived at 0.
+                    self.cache.index_for(step, ordered.get(step.relation))
+
+    def insert(self, facts: Iterable[Fact]) -> list[Fact]:
+        """Add the ``facts`` not yet in the state as one new arrival;
+        returns them, in order: the delta to :meth:`extend` from."""
+        self.arrival += 1
+        new: list[Fact] = []
+        for fact in facts:
+            known = self.stored.setdefault(fact.relation, {})
+            if fact.args in known:
+                continue
+            known[fact.args] = fact
+            self.work.add(fact)
+            self.cache.add_fact(fact, self.arrival)
+            new.append(fact)
+        return new
+
+    def extend(
+        self,
+        delta: list[Fact],
+        groundings: list | None = None,
+        max_rounds: int = 1_000_000,
+    ) -> tuple[int, list[Fact]]:
+        """Strict semi-naive rounds from ``delta``, the latest arrival.
+
+        Each round splits every join into old and new: for pivot position
+        *i*, body atoms before *i* match facts that arrived before the
+        round's delta and atoms after *i* match every fact present, so each
+        binding that uses a delta fact is found exactly once, and no
+        binding over older facts is found at all.  Heads are buffered
+        until the round ends, so each round's derivations depend only on
+        the (work, delta) sets.  When ``groundings`` is a list, each
+        non-tautological ``(rule, body_facts, head_fact)`` found is
+        appended to it.  Returns the number of rounds and the derived
+        facts, in arrival order.
+        """
+        work, cache, stored = self.work, self.cache, self.stored
+        derived: list[Fact] = []
+        rounds = 0
+        while delta:
+            rounds += 1
+            if rounds > max_rounds:
+                raise RuntimeError(f"batch_chase exceeded {max_rounds} rounds")
+            before = self.arrival
+            fresh: dict[str, dict[tuple, Fact]] = {}
+            for relation, facts in _by_relation(delta).items():
+                for plan in self.plans.get(relation, ()):
+                    rows = plan.rows(facts, cache, before)
+                    if rows:
+                        _derive(plan, rows, stored, fresh, groundings)
+            self.arrival += 1
+            delta = []
+            for relation, new in fresh.items():
+                stored[relation].update(new)
+                for head_fact in new.values():
+                    work.add(head_fact)
+                    cache.add_fact(head_fact, self.arrival)
+                    delta.append(head_fact)
+            derived.extend(delta)
+        return rounds, derived
+
+    def violations(self, facts: list[Fact], since: int) -> list:
+        """The raw violations of every egd binding that uses one of
+        ``facts`` — exactly the facts that arrived at ``since`` or later —
+        each binding found once (both orientations of a symmetric egd are
+        two bindings)."""
+        found: list = []
+        for relation, seeds in _by_relation(facts).items():
+            for plan in self.egd_plans.get(relation, ()):
+                plan.collect(plan.rows(seeds, self.cache, since), found)
+        return found
+
+    def retract(self, facts: Iterable[Fact]) -> None:
+        """Remove ``facts`` from the work instance, the args map and the
+        index buckets (keeping bucket order); absent facts are ignored."""
+        for fact in facts:
+            stored = self.stored[fact.relation].pop(fact.args, None)
+            if stored is not None:
+                self.cache.remove_fact(stored)
+                self.work.discard(stored)
 
 
 def batch_chase(
@@ -436,73 +692,24 @@ def batch_chase(
     stats: dict[str, int] | None = None,
     groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] | None = None,
 ) -> Instance:
-    """Strict-round semi-naive fixpoint, evaluated set-at-a-time.
+    """The least fixpoint of ``rules`` over ``instance`` (a copy).
 
-    Bit-identical to :func:`repro.chase.gav.gav_chase` (same fixpoint,
-    same ``rounds``/``derived_facts`` counters): both use strict rounds,
-    so the per-round derivation set is a pure function of the (work,
-    delta) sets and the evaluation strategy cannot be observed.
+    Builds a :class:`ChaseState` over the copy and extends it with every
+    fact.  Every fact exists as one object — a derived head resolves to
+    the stored fact — and when ``groundings`` is a list, each
+    non-tautological ``(rule, body_facts, head_fact)`` over the result is
+    appended to it exactly once, built from the chased instance's own
+    fact objects.
 
-    Each round splits every join into old and new: for pivot position
-    *i*, body atoms before *i* match facts that arrived before the round
-    and atoms after *i* match the whole instance, so each binding over
-    the final instance is found exactly once.  Every fact exists as one
-    object — a derived head resolves to the stored fact through
-    per-relation ``{args: Fact}`` maps — and when ``groundings`` is a
-    list, each non-tautological ``(rule, body_facts, head_fact)`` is
-    appended to it as found: the same set
-    :func:`~repro.chase.gav.enumerate_groundings` yields over the result,
-    built from the chased instance's own fact objects.
+    When ``stats`` is a dict, the deterministic work counters ``rounds``
+    (strict semi-naive rounds) and ``derived_facts`` (facts added beyond
+    the input) are recorded into it; strict rounds make both a pure
+    function of (instance, rules).
     """
-    _check_rules(rules)
     work = instance.copy()
-    cache = _IndexCache(work)
-    stored: dict[str, dict[tuple, Fact]] = {}
-    for fact in work:
-        stored.setdefault(fact.relation, {})[fact.args] = fact
-    by_relation: dict[str, list[_PivotPlan]] = {}
-    for rule in rules:
-        for position in range(len(rule.body)):
-            plan = _PivotPlan(work, rule, position)
-            for step, _old_only in plan.probes:
-                # Built now, while every fact present arrived at 0.
-                cache.index_for(step)
-            stored.setdefault(plan.head_relation, {})
-            by_relation.setdefault(plan.seed.relation, []).append(plan)
-
-    delta = list(work)
-    rounds = 0
-    while delta:
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError(f"batch_chase exceeded {max_rounds} rounds")
-        # This round's delta arrived at rounds - 1; anything earlier is old.
-        before = rounds - 1
-        delta_by_relation: dict[str, list[Fact]] = {}
-        for fact in delta:
-            delta_by_relation.setdefault(fact.relation, []).append(fact)
-        fresh: dict[str, dict[tuple, Fact]] = {}
-        for relation, facts in delta_by_relation.items():
-            for plan in by_relation.get(relation, ()):
-                rows = plan.seed_rows(facts)
-                for step, old_only in plan.probes:
-                    if not rows:
-                        break
-                    rows = _probe(
-                        step,
-                        cache.index_for(step),
-                        rows,
-                        before if old_only else None,
-                    )
-                if rows:
-                    _derive(plan, rows, stored, fresh, groundings)
-        delta = []
-        for relation, new in fresh.items():
-            stored[relation].update(new)
-            for head_fact in new.values():
-                work.add(head_fact)
-                cache.add_fact(head_fact, rounds)
-                delta.append(head_fact)
+    rounds, _derived = ChaseState(work, rules).extend(
+        list(work), groundings, max_rounds
+    )
     if stats is not None:
         stats["rounds"] = rounds
         stats["derived_facts"] = len(work) - len(instance)
@@ -510,7 +717,7 @@ def batch_chase(
 
 
 def _derive(
-    plan: _PivotPlan,
+    plan: _RulePlan,
     rows: list[tuple],
     stored: dict[str, dict[tuple, Fact]],
     fresh: dict[str, dict[tuple, Fact]],
@@ -547,15 +754,15 @@ def enumerate_groundings_batch(
     options: BatchOptions = DEFAULT_OPTIONS,
     plan_log: dict[str, str] | None = None,
 ) -> Iterator[tuple[TGD, tuple[Fact, ...], Fact]]:
-    """Batch equivalent of :func:`repro.chase.gav.enumerate_groundings`.
+    """Every grounding ``(rule, body_facts, head_fact)`` over ``instance``.
 
-    Same semantics — one grounding per binding (a binding's body facts
-    determine it, so there are no duplicates), tautological groundings
-    (head in own body) dropped — but each rule body is one planned batch
-    join.  Yield order within a rule follows the join, which is *not* the
-    tuple path's order; callers canonicalize.  The exchange takes its
-    groundings from :func:`batch_chase` instead; this one-shot form serves
-    instances that were not chased here.
+    One grounding per binding (a binding's body facts determine it, so
+    there are no duplicates), tautological groundings (head in own body)
+    dropped; each rule body is one planned batch join, and yield order
+    within a rule follows the join, so callers canonicalize.  The exchange
+    takes its groundings from :func:`batch_chase` instead; this one-shot
+    form serves instances that were not chased here, and cross-checks the
+    chase's own emission.
     """
     cache = _IndexCache(instance)
     for rule in rules:
@@ -582,33 +789,14 @@ def find_violations_batch(
 
     Returns raw :class:`~repro.xr.exchange.Violation` objects including
     both orientations of symmetric egds; callers dedup through
-    :func:`repro.xr.exchange.canonicalize_violations`, exactly as the
-    tuple path does.
+    :func:`repro.xr.exchange.canonicalize_violations`.
     """
-    from repro.xr.exchange import Violation
-
     cache = _IndexCache(chased)
-    violations = []
+    violations: list = []
     for egd in egds:
         plan = _BodyPlan(chased, egd.body)
         mode, rows = plan.rows(chased, cache, options)
         if plan_log is not None:
             plan_log[egd.label] = mode
-        lhs_slot = plan.layout[egd.lhs]
-        rhs_is_var = isinstance(egd.rhs, Variable)
-        rhs_slot = plan.layout[egd.rhs] if rhs_is_var else None
-        rhs_const = None if rhs_is_var else egd.rhs.value
-        constants_only = egd.constants_only
-        for row in rows:
-            lhs_value = row[lhs_slot]
-            rhs_value = row[rhs_slot] if rhs_is_var else rhs_const
-            if lhs_value == rhs_value:
-                continue
-            if constants_only and not (
-                is_constant_value(lhs_value) and is_constant_value(rhs_value)
-            ):
-                continue
-            violations.append(
-                Violation(egd, plan.body_of(row), lhs_value, rhs_value)
-            )
+        compile_violation_check(egd, plan.layout, plan.body_of)(rows, violations)
     return violations

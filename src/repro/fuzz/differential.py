@@ -26,11 +26,8 @@ Engine matrix for the segmentary engine: SequentialExecutor vs a shared
 ParallelExecutor (``jobs`` ∈ {1, N}), cache cold vs warm vs disabled, and
 the incremental family strategy (the default, exercised by every axis
 above) vs the legacy per-signature strategy (``solve_strategy=
-"per-signature"``, certain and possible), and the exchange evaluation
-strategy (every engine runs on ``config.exchange_strategy``; one extra
-segmentary run forces the opposite of it, so the batch set-at-a-time and
-tuple-at-a-time exchange paths are cross-checked on every scenario).  All
-knobs are answer-neutral by design; the fuzzer is the enforcement.
+"per-signature"``, certain and possible).  All knobs are answer-neutral
+by design; the fuzzer is the enforcement.
 
 Two difficulty gates keep worst-case scenarios from stalling a campaign:
 the Definition 1 oracle only runs up to ``oracle_max_facts`` source facts
@@ -149,9 +146,7 @@ def run_differential(
     reduced = data = None
     try:
         reduced = reduce_mapping(mapping)
-        data = build_exchange_data(
-            reduced.gav, instance, strategy=config.exchange_strategy
-        )
+        data = build_exchange_data(reduced.gav, instance)
     except Exception:  # noqa: BLE001 — reported via the engine runs
         pass
     heavy = data is None or len(data.groundings) > config.enumerative_limit
@@ -166,9 +161,7 @@ def run_differential(
                 lambda: xr_possible_oracle(query, instance, mapping),
             )
 
-    monolithic = MonolithicEngine(
-        mapping, instance, exchange_strategy=config.exchange_strategy
-    )
+    monolithic = MonolithicEngine(mapping, instance)
     run("monolithic", "certain", lambda: monolithic.answer(query))
     if config.check_possible and not heavy:
         run(
@@ -184,12 +177,7 @@ def run_differential(
         # consequence is vacuous — the erratum in its total form, observed
         # on real fuzz seeds.  That outcome is documented behavior, not a
         # crash; only a *missing answer* (checked below) is a bug.
-        fig_engine = MonolithicEngine(
-            mapping,
-            instance,
-            encoding="figure1",
-            exchange_strategy=config.exchange_strategy,
-        )
+        fig_engine = MonolithicEngine(mapping, instance, encoding="figure1")
         try:
             figure1 = frozenset(fig_engine.answer(query))
         except RuntimeError as error:
@@ -208,9 +196,7 @@ def run_differential(
                 report.engines.append("monolithic-figure1")
                 report.certain["monolithic-figure1"] = figure1
 
-    with SegmentaryEngine(
-        mapping, instance, cache=True, exchange_strategy=config.exchange_strategy
-    ) as cached:
+    with SegmentaryEngine(mapping, instance, cache=True) as cached:
         cold = run("segmentary-cold", "certain", lambda: cached.answer(query))
         warm = run("segmentary-warm", "certain", lambda: cached.answer(query))
         if config.check_possible:
@@ -220,31 +206,8 @@ def run_differential(
                 lambda: cached.possible_answers(query),
             )
 
-    with SegmentaryEngine(
-        mapping, instance, cache=False, exchange_strategy=config.exchange_strategy
-    ) as nocache:
+    with SegmentaryEngine(mapping, instance, cache=False) as nocache:
         run("segmentary-nocache", "certain", lambda: nocache.answer(query))
-
-    # The exchange-strategy axis: everything above ran on
-    # ``config.exchange_strategy``; this run forces the *other* evaluation
-    # path (batch set-at-a-time vs tuple-at-a-time nested loops), so the
-    # two chase/grounding/violation implementations are differentially
-    # compared on every scenario.
-    other_strategy = "tuple" if config.exchange_strategy == "batch" else "batch"
-    with SegmentaryEngine(
-        mapping, instance, cache=False, exchange_strategy=other_strategy
-    ) as crossed:
-        run(
-            f"segmentary-{other_strategy}-exchange",
-            "certain",
-            lambda: crossed.answer(query),
-        )
-        if config.check_possible:
-            run(
-                f"segmentary-{other_strategy}-exchange-possible",
-                "possible",
-                lambda: crossed.possible_answers(query),
-            )
 
     # The strategy axis: every segmentary run above uses the default
     # incremental family path; this one forces the legacy per-signature
@@ -255,7 +218,6 @@ def run_differential(
         instance,
         cache=False,
         solve_strategy="per-signature",
-        exchange_strategy=config.exchange_strategy,
     ) as legacy:
         run(
             "segmentary-per-signature",
@@ -277,7 +239,6 @@ def run_differential(
             instance,
             executor=executor or _shared_parallel_executor(config.parallel_jobs),
             cache=False,
-            exchange_strategy=config.exchange_strategy,
         ) as parallel_engine:
             run(
                 "segmentary-parallel",

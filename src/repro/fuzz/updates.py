@@ -8,9 +8,9 @@ generates a seeded random insert/retract stream per scenario and checks,
 all) agrees bit-for-bit with a from-scratch re-exchange of the updated
 instance:
 
-- the chased instance, the grounding set (keyed by rule label — two
-  independent reductions α-rename rule variables), and the canonical
-  violation keys;
+- the chased instance, the grounding multiset (keyed by rule label — two
+  independent reductions α-rename rule variables — and counted, so a
+  grounding appended twice shows up), and the canonical violation keys;
 - the cluster partition (as sets of violation keys) and the cluster
   source envelopes;
 - the safe source split and the safe chase;
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -160,8 +161,10 @@ def load_update_corpus(
 # --------------------------------------------------- differential check
 
 
-def _grounding_keys(data) -> set:
-    return {(rule.label, body, head) for rule, body, head in data.groundings}
+def _grounding_multiset(data) -> Counter:
+    return Counter(
+        (rule.label, body, head) for rule, body, head in data.groundings
+    )
 
 
 def _violation_keys(data) -> set:
@@ -195,29 +198,18 @@ def _cluster_envelopes(analysis) -> set:
 ANSWER_CHECK_INFLUENCE_CAP = 96
 
 
-def check_update_stream(
-    scenario: Scenario,
-    deltas: list[Delta],
-    config: FuzzConfig = DEFAULT_CONFIG,
-) -> list[str]:
+def check_update_stream(scenario: Scenario, deltas: list[Delta]) -> list[str]:
     """Differentially replay ``deltas``; returns discrepancy strings.
 
     One warm incremental engine (session-maintained, cache enabled) versus
-    a fresh from-scratch engine per step.  Both engines build their
-    exchange with ``config.exchange_strategy``, so with the default the
-    delta-chase is validated per step against batch-built adjacency (and
-    with ``"tuple"`` against the legacy path).  Stops at the first failing
+    a fresh from-scratch engine per step.  Stops at the first failing
     step: later steps run on top of diverged state and would only echo it.
     Answer comparisons are skipped on solver-hard steps (see
     :data:`ANSWER_CHECK_INFLUENCE_CAP`); state comparisons never are.
     """
     problems: list[str] = []
     try:
-        engine = SegmentaryEngine(
-            scenario.mapping,
-            scenario.instance.copy(),
-            exchange_strategy=config.exchange_strategy,
-        )
+        engine = SegmentaryEngine(scenario.mapping, scenario.instance.copy())
         engine.exchange()
         session = engine.update_session()
     except Exception as error:  # noqa: BLE001 — a crash is a finding
@@ -232,11 +224,7 @@ def check_update_stream(
                 problems.append(f"crash at step {step}: {error!r}")
                 return problems
             current = apply_delta(current, delta)
-            reference = SegmentaryEngine(
-                scenario.mapping,
-                current.copy(),
-                exchange_strategy=config.exchange_strategy,
-            )
+            reference = SegmentaryEngine(scenario.mapping, current.copy())
             try:
                 reference.exchange()
                 checks = [
@@ -247,8 +235,8 @@ def check_update_stream(
                     ),
                     (
                         "groundings",
-                        _grounding_keys(engine.data),
-                        _grounding_keys(reference.data),
+                        _grounding_multiset(engine.data),
+                        _grounding_multiset(reference.data),
                     ),
                     (
                         "violations",
@@ -320,7 +308,7 @@ def check_update_seed(
     """Generate scenario + stream for ``seed`` and differentially replay."""
     scenario = random_scenario(seed, config)
     deltas = random_update_stream(seed, scenario, steps, config)
-    return check_update_stream(scenario, deltas, config)
+    return check_update_stream(scenario, deltas)
 
 
 # --------------------------------------------------------------- shrink
@@ -494,7 +482,7 @@ def run_update_fuzz(
             scenario, deltas = shrink_update_stream(
                 scenario,
                 deltas,
-                lambda sc, ds: bool(check_update_stream(sc, ds, config)),
+                lambda sc, ds: bool(check_update_stream(sc, ds)),
             )
             failure.shrunk_text = render_update_scenario(scenario, deltas)
             emit(
@@ -512,11 +500,9 @@ def run_update_fuzz(
     return summary
 
 
-def replay_update_corpus(
-    directory: str | Path, config: FuzzConfig = DEFAULT_CONFIG
-) -> list[tuple[Path, list[str]]]:
+def replay_update_corpus(directory: str | Path) -> list[tuple[Path, list[str]]]:
     """Replay every saved update repro; a regression returns problems."""
     return [
-        (path, check_update_stream(scenario, deltas, config))
+        (path, check_update_stream(scenario, deltas))
         for path, scenario, deltas in load_update_corpus(directory)
     ]

@@ -20,11 +20,7 @@ Entry points:
   differential fuzz harness compares against.
 """
 
-from repro.incremental.chase import (
-    DeltaChaseReport,
-    EgdIndex,
-    apply_delta_chase,
-)
+from repro.incremental.chase import DeltaChaseReport, apply_delta_chase
 from repro.incremental.delta import (
     Delta,
     apply_delta,
@@ -36,7 +32,6 @@ from repro.incremental.session import SessionStats, UpdateReport, UpdateSession
 __all__ = [
     "Delta",
     "DeltaChaseReport",
-    "EgdIndex",
     "SessionStats",
     "UpdateReport",
     "UpdateSession",

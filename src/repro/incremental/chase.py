@@ -3,27 +3,32 @@
 Maintains the chased instance, the grounding list, and the violation list
 of an :class:`~repro.xr.exchange.ExchangeData` under one normalized
 :class:`~repro.incremental.delta.Delta`, without re-running the chase or
-the grounding/violation joins from scratch:
+the grounding/violation joins from scratch.  The joins run on the update
+session's :class:`~repro.chase.batch.ChaseState` — the same resumable
+batch chase that built the exchange, kept alive over ``data.chased``:
 
 **Retraction** is exact liveness over recorded provenance: the facts
 derivable from the remaining sources are recomputed by count-down
 propagation over the grounding adjacency
 (:func:`~repro.xr.envelope.derivable_ids`, Dowling–Gallier); everything
-chased but no longer derivable is dead.  A grounding dies iff any body
-fact dies (a live body forces a live head), a violation iff any body fact
-dies.
+chased but no longer derivable is dead, and is retracted from the state.
+A grounding dies iff any body fact dies (a live body forces a live head),
+a violation iff any body fact dies.
 
-**Insertion** is a semi-naive worklist doubling as grounding enumeration:
-every new fact is added to the chased instance and then *pivoted* through
-the shared :class:`~repro.chase.gav.RuleIndex` — each binding of the rest
-of a rule body yields a grounding whose head is derived (and enqueued if
-new).  A grounding with several new body facts is found when pivoting on
-whichever of them is processed last (all the others are already in the
-instance by then), so every grounding touching the delta is enumerated;
-groundings whose body predates the delta were enumerated before.  New
-violations are found the same way after the chase settles, pivoting each
-new fact through the egd bodies, deduplicated against the live set by the
-canonical :func:`~repro.xr.exchange.violation_key`.
+**Insertion** extends the state from the inserted facts.  Its strict
+rounds split every join into old and new, so every binding that uses an
+inserted or derived fact is found exactly once — and none of them can
+already be live, because each such fact was absent before the delta (a
+dead fact's groundings died with it).  No dedup set is needed.  New
+violations come from the egd pivot plans of the same state, with the
+same split over the delta's new facts; they are deduplicated against the
+live set by the canonical :func:`~repro.xr.exchange.violation_key`, since
+the two orientations of a symmetric egd are still two bindings.
+
+Every order is fixed by construction, whatever ``PYTHONHASHSEED`` is:
+new facts are interned in repr order, new groundings appended in
+:func:`~repro.xr.exchange._build_fact_indexes`'s (rule position, head
+id, body ids) order, new violations in canonical order.
 
 Adjacency indexes are maintained **in place** (swap-remove on deletion,
 append on insertion — see :func:`~repro.xr.exchange.remove_groundings`);
@@ -38,74 +43,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chase.gav import RuleIndex, _unify_atom_with_fact
-from repro.dependencies.egds import EGD
-from repro.relational.instance import Fact, Instance
-from repro.relational.queries import CompiledJoin
+from repro.chase.batch import ChaseState
 from repro.xr.envelope import derivable_ids
 from repro.xr.exchange import (
     ExchangeData,
     Violation,
     append_grounding,
     append_violation,
-    grounded_egd_violation,
+    canonicalize_violations,
     remove_groundings,
     remove_violations,
     violation_key,
 )
 
 from repro.incremental.delta import Delta
-
-#: Identity of one grounding.  The rule is keyed by ``id()``: reduced
-#: mappings can hold *distinct* rules that compare equal (``TGD.__eq__``
-#: ignores labels, and e.g. a duplicated head atom splits into two
-#: value-identical single-head rules), and each owns its own groundings.
-#: Rule objects are stable for the data's lifetime (``mapping.all_tgds()``
-#: returns the stored tuples), so ``id`` is a sound key.
-GroundingKey = tuple[int, tuple[Fact, ...], Fact]
-
-
-def grounding_key(
-    rule, body_facts: tuple[Fact, ...], head_fact: Fact
-) -> GroundingKey:
-    return (id(rule), body_facts, head_fact)
-
-
-class EgdPivotEntry:
-    """One (egd, pivot-atom) pair; mirror of the tgd pivot entries."""
-
-    __slots__ = ("egd", "pivot", "rest", "_join")
-
-    def __init__(self, egd: EGD, position: int) -> None:
-        self.egd = egd
-        self.pivot = egd.body[position]
-        self.rest = [a for i, a in enumerate(egd.body) if i != position]
-        self._join: CompiledJoin | None = None
-
-    def join(self, instance: Instance) -> CompiledJoin:
-        if self._join is None:
-            self._join = CompiledJoin(
-                instance, self.rest, self.pivot.variables()
-            )
-        return self._join
-
-    def seed(self, fact: Fact):
-        return _unify_atom_with_fact(self.pivot, fact, {})
-
-
-class EgdIndex:
-    """Per-relation pivot index over egd bodies (violation maintenance)."""
-
-    def __init__(self, egds) -> None:
-        self.by_relation: dict[str, list[EgdPivotEntry]] = {}
-        for egd in egds:
-            for position, atom in enumerate(egd.body):
-                self.by_relation.setdefault(atom.relation, []).append(
-                    EgdPivotEntry(egd, position)
-                )
-
-    def entries_for(self, relation: str) -> list[EgdPivotEntry]:
-        return self.by_relation.get(relation, [])
 
 
 @dataclass
@@ -137,23 +88,17 @@ class DeltaChaseReport:
 def apply_delta_chase(
     data: ExchangeData,
     delta: Delta,
-    rule_index: RuleIndex,
-    egd_index: EgdIndex,
-    grounding_keys: set,
+    state: ChaseState,
     violation_keys: set,
 ) -> DeltaChaseReport:
     """Apply a **normalized** delta to ``data`` in place.
 
-    Mutates ``data.source_instance`` / ``data.chased`` / ``data.groundings``
-    / ``data.violations``, keeps ``grounding_keys`` / ``violation_keys``
-    (the identities of the live groundings and the canonical keys of the
-    live violations) in sync, and maintains the adjacency indexes in
-    place (fact ids stay stable).  Keeping the key sets session-lifetime
-    matters twice
-    over: lookups stay O(1) per found grounding instead of rebuilding a
-    set per delta, and discarding dead keys on retraction is what lets a
-    later re-insertion re-derive the same grounding.  Returns the id-space
-    report the cluster maintenance layer works from.
+    Mutates ``data.source_instance`` / ``data.chased`` (the ``state``'s
+    work instance) / ``data.groundings`` / ``data.violations``, keeps
+    ``violation_keys`` (the canonical keys of the live violations) in
+    sync, and maintains the adjacency indexes in place (fact ids stay
+    stable).  Returns the id-space report the cluster maintenance layer
+    works from.
     """
     report = DeltaChaseReport()
     source = data.source_instance
@@ -184,7 +129,6 @@ def apply_delta_chase(
         for index in dead_grounding_positions:
             report.removed_groundings += 1
             report.removed_grounding_head_ids.add(data.grounding_heads[index])
-            grounding_keys.discard(grounding_key(*data.groundings[index]))
         remove_groundings(data, dead_grounding_positions)
         for index in dead_violation_positions:
             violation = data.violations[index]
@@ -193,79 +137,46 @@ def apply_delta_chase(
         remove_violations(data, dead_violation_positions)
 
         facts_by_id = data.facts_by_id
-        for fact_id in dead:
-            chased.discard(facts_by_id[fact_id])
+        state.retract(facts_by_id[fact_id] for fact_id in dead)
     for fact in delta.retracts:
         source.discard(fact)
 
     # -------------------------------------------------------- insertion
     if delta.inserts:
-        queue: list[Fact] = []
-        for fact in sorted(delta.inserts, key=repr):
+        for fact in delta.inserts:
             source.add(fact)
-            if chased.add(fact):
-                report.new_ids.add(data.intern_fact(fact))
-                queue.append(fact)
+        inserted = state.insert(sorted(delta.inserts, key=repr))
+        since = state.arrival
+        found: list[tuple] = []
+        _rounds, derived = state.extend(inserted, found)
+        new_facts = inserted + derived
+        for fact in sorted(new_facts, key=repr):
+            report.new_ids.add(data.intern_fact(fact))
 
-        added: list[tuple] = []
-        cursor = 0
-        while cursor < len(queue):
-            fact = queue[cursor]
-            cursor += 1
-            for entry in rule_index.entries_for(fact.relation):
-                seed = entry.seed(fact)
-                if seed is None:
-                    continue
-                join = entry.join(chased)
-                # Materialize the matches before deriving: adding heads to
-                # `chased` while the join iterates would mutate the live
-                # extension sets.
-                found = [
-                    (entry.body_facts(binding), entry.ground(binding))
-                    for binding in join.bindings(chased, seed)
-                ]
-                for body_facts, head_fact in found:
-                    if head_fact in body_facts:
-                        continue  # tautological; never a real derivation
-                    added.append((entry.rule, body_facts, head_fact))
-                    if chased.add(head_fact):
-                        report.new_ids.add(data.intern_fact(head_fact))
-                        queue.append(head_fact)
-
-        # Pivoting one fact through several body positions (or two new
-        # facts through one grounding) re-finds the same grounding: dedup
-        # against both this batch and the surviving pre-delta groundings.
-        for grounding in added:
-            key = grounding_key(*grounding)
-            if key in grounding_keys:
-                continue
-            grounding_keys.add(key)
+        id_of = data.fact_ids.__getitem__
+        position_of = {id(rule): index for index, rule in enumerate(state.rules)}
+        found.sort(
+            key=lambda grounding: (
+                position_of[id(grounding[0])],
+                id_of(grounding[2]),
+                tuple(map(id_of, grounding[1])),
+            )
+        )
+        for grounding in found:
             head_id, body_ids = append_grounding(data, grounding)
             report.added_groundings += 1
             report.added_grounding_fact_ids.add(head_id)
             report.added_grounding_fact_ids.update(body_ids)
 
-        # New violations: every violation gaining a new body fact is found
-        # by pivoting that fact (the whole body is present now the chase
-        # has settled); all-old violations are already in `violation_keys`.
-        facts_by_id = data.facts_by_id
-        for fact_id in sorted(report.new_ids):
-            fact = facts_by_id[fact_id]
-            for entry in egd_index.entries_for(fact.relation):
-                seed = entry.seed(fact)
-                if seed is None:
-                    continue
-                join = entry.join(chased)
-                for binding in join.bindings(chased, seed):
-                    violation = grounded_egd_violation(entry.egd, binding)
-                    if violation is None:
-                        continue
-                    key = violation_key(violation)
-                    if key in violation_keys:
-                        continue
-                    violation_keys.add(key)
-                    append_violation(data, violation)
-                    report.new_violations.append(violation)
+        for violation in canonicalize_violations(
+            state.violations(new_facts, since)
+        ):
+            key = violation_key(violation)
+            if key in violation_keys:
+                continue
+            violation_keys.add(key)
+            append_violation(data, violation)
+            report.new_violations.append(violation)
 
     # Memoized forward closures are stale wherever the delta touched the
     # grounding graph; they repopulate lazily on the next cluster build.

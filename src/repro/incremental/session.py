@@ -7,7 +7,8 @@ engine built on it) and applies :class:`~repro.incremental.delta.Delta`
 batches in place:
 
 1. **Delta-chase** (:mod:`repro.incremental.chase`): chased instance,
-   groundings and violations maintained semi-naively; adjacency rebuilt
+   groundings and violations maintained semi-naively on the session's
+   :class:`~repro.chase.batch.ChaseState`; adjacency maintained in place
    with stable fact ids.
 2. **Cluster maintenance**: a cluster is *touched* iff one of its
    violations died or its support closure / influence meets the delta's
@@ -40,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.gav import RuleIndex
+from repro.chase.batch import ChaseState
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.relational.instance import Instance
 from repro.xr.envelope import (
@@ -53,12 +54,7 @@ from repro.xr.envelope import (
 )
 from repro.xr.exchange import ExchangeData, violation_key
 
-from repro.incremental.chase import (
-    DeltaChaseReport,
-    EgdIndex,
-    apply_delta_chase,
-    grounding_key,
-)
+from repro.incremental.chase import DeltaChaseReport, apply_delta_chase
 from repro.incremental.delta import Delta
 
 
@@ -121,10 +117,14 @@ class UpdateSession:
         self.obs = obs if obs is not None else NOOP_RECORDER
         self.engine = engine
         self.stats = SessionStats()
-        tgds = list(data.mapping.all_tgds())
-        self._rule_index = RuleIndex(tgds)
-        self._egd_index = EgdIndex(data.mapping.target_egds)
-        self._grounding_keys = {grounding_key(*g) for g in data.groundings}
+        # The batch chase's loop state over ``data.chased``, indexed in id
+        # order so that nothing about it depends on set iteration order.
+        self._state = ChaseState(
+            data.chased,
+            list(data.mapping.all_tgds()),
+            data.mapping.target_egds,
+            order=data.facts_by_id,
+        )
         self._violation_keys = {violation_key(v) for v in data.violations}
         self._source_names = frozenset(data.mapping.source.names())
 
@@ -151,9 +151,7 @@ class UpdateSession:
                 chase_report = apply_delta_chase(
                     self.data,
                     effective,
-                    self._rule_index,
-                    self._egd_index,
-                    self._grounding_keys,
+                    self._state,
                     self._violation_keys,
                 )
             report.inserted_source = len(effective.inserts)

@@ -1,6 +1,7 @@
 """Shared exchange computation: quasi-solution, groundings, violations.
 
-Both engines start the same way (for a reduced ``gav+(gav, egd)`` mapping):
+Both query engines start the same way (for a reduced ``gav+(gav, egd)``
+mapping), on the batch operators of :mod:`repro.chase.batch`:
 
 - chase the source instance with the tgds only — the **canonical
   quasi-solution** of Definition 2;
@@ -17,14 +18,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.gav import enumerate_groundings, gav_chase
+from repro.chase.batch import batch_chase, find_violations_batch
 from repro.dependencies.egds import EGD
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import match_atoms
-from repro.relational.terms import Variable, is_constant_value
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,8 @@ def violation_key(
 
     Symmetric bindings of one grounded egd (swapping the roles of the two
     offending values) describe the same violation; the key canonicalizes
-    them so both :func:`find_violations` and the incremental violation
-    maintenance of :mod:`repro.incremental` dedup identically.
+    them so both :func:`canonicalize_violations` and the incremental
+    violation maintenance of :mod:`repro.incremental` dedup identically.
     """
     if violation.egd.symmetric:
         # Canonicalize the two orientations of a symmetric egd
@@ -201,37 +200,13 @@ def violation_key(
     )
 
 
-def grounded_egd_violation(
-    egd: EGD, binding: dict[Variable, object]
-) -> Violation | None:
-    """The violation of one grounded egd body, or None if it is satisfied.
-
-    For constants-only egds, only clashes between two distinct constants
-    count — skolem values stand for nulls, which the original chase would
-    simply unify.
-    """
-    lhs_value = binding[egd.lhs]
-    rhs_value = (
-        binding[egd.rhs] if isinstance(egd.rhs, Variable) else egd.rhs.value
-    )
-    if lhs_value == rhs_value:
-        return None
-    if egd.constants_only and not (
-        is_constant_value(lhs_value) and is_constant_value(rhs_value)
-    ):
-        return None
-    body_facts = tuple(atom.substitute(binding) for atom in egd.body)
-    return Violation(egd, body_facts, lhs_value, rhs_value)
-
-
 def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
     """One canonical representative per :func:`violation_key`, sorted.
 
-    Symmetric egds ground in two orientations and different evaluation
-    strategies encounter them in different orders; keeping the repr-least
-    representative (instead of the first encountered) and sorting the
-    result makes the violation list a pure function of the violation *set*
-    — the keystone of batch-vs-tuple bit-identity.
+    Symmetric egds ground in two orientations, and a join may encounter
+    them in either order; keeping the repr-least representative (instead
+    of the first encountered) and sorting the result makes the violation
+    list a pure function of the violation *set*.
     """
     best: dict[tuple, tuple[str, Violation]] = {}
     for violation in violations:
@@ -248,40 +223,20 @@ def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
     ]
 
 
-def find_violations(mapping: SchemaMapping, chased: Instance) -> list[Violation]:
-    """All grounded-egd violations over the chased instance (Definition 5)."""
-    violations: list[Violation] = []
-    for egd in mapping.target_egds:
-        for binding in match_atoms(chased, list(egd.body)):
-            violation = grounded_egd_violation(egd, binding)
-            if violation is not None:
-                violations.append(violation)
-    return canonicalize_violations(violations)
-
-
-EXCHANGE_STRATEGIES = ("batch", "tuple")
-
-
 def build_exchange_data(
     mapping: SchemaMapping,
     source_instance: Instance,
     timings: dict[str, float] | None = None,
     obs: Recorder | None = None,
-    strategy: str = "batch",
 ) -> ExchangeData:
     """Chase, ground, and detect violations for a ``gav+(gav, egd)`` mapping.
 
-    ``strategy`` selects the evaluation engine for the chase, grounding
-    enumeration, and violation detection: ``"batch"`` (the default) runs
-    the set-at-a-time operators of :mod:`repro.chase.batch`; ``"tuple"``
-    is the original per-tuple nested-loop path, kept as the differential
-    reference.  Both produce **bit-identical** exchange data: each
-    computes the same unique least fixpoint / grounding set / violation
-    set, and the lists and the interned id universe are put in canonical
-    (sorted) order regardless of the evaluation order that found them.
-
-    The batch chase emits the groundings itself, so under ``"batch"``
-    there is no separate grounding stage (its timing reads 0).
+    The batch chase (:func:`~repro.chase.batch.batch_chase`) finds each
+    binding once and emits its grounding, so there is no separate
+    grounding stage (its timing reads 0); the violations are one batch
+    join per egd.  The lists and the interned id universe are put in
+    canonical (sorted) order regardless of the evaluation order that
+    found them.
 
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` / ``violations`` / ``index``
@@ -290,11 +245,6 @@ def build_exchange_data(
     stage plus the deterministic work counters (chase rounds, chased
     facts, groundings, violations) — equally answer-neutral.
     """
-    if strategy not in EXCHANGE_STRATEGIES:
-        raise ValueError(
-            f"unknown exchange strategy {strategy!r}; "
-            f"expected one of {EXCHANGE_STRATEGIES}"
-        )
     if not mapping.is_gav_gav_egd():
         raise ValueError(
             "exchange data requires a gav+(gav, egd) mapping; "
@@ -307,31 +257,17 @@ def build_exchange_data(
     tgds = list(mapping.all_tgds())
     chase_stats: dict[str, int] | None = {} if metrics.enabled else None
     started = clock()
-    if strategy == "batch":
-        from repro.chase.batch import batch_chase, find_violations_batch
-
-        groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] = []
-        with tracer.span("exchange.chase"):
-            # The chase finds each binding once and emits its grounding.
-            chased = batch_chase(
-                source_instance, tgds, stats=chase_stats, groundings=groundings
-            )
-        chased_at = grounded_at = clock()
-        with tracer.span("exchange.violations"):
-            violations = canonicalize_violations(
-                find_violations_batch(mapping.target_egds, chased)
-            )
-        violations_at = clock()
-    else:
-        with tracer.span("exchange.chase"):
-            chased = gav_chase(source_instance, tgds, stats=chase_stats)
-        chased_at = clock()
-        with tracer.span("exchange.groundings"):
-            groundings = list(enumerate_groundings(tgds, chased))
-        grounded_at = clock()
-        with tracer.span("exchange.violations"):
-            violations = find_violations(mapping, chased)
-        violations_at = clock()
+    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] = []
+    with tracer.span("exchange.chase"):
+        chased = batch_chase(
+            source_instance, tgds, stats=chase_stats, groundings=groundings
+        )
+    chased_at = clock()
+    with tracer.span("exchange.violations"):
+        violations = canonicalize_violations(
+            find_violations_batch(mapping.target_egds, chased)
+        )
+    violations_at = clock()
     data = ExchangeData(
         mapping=mapping,
         source_instance=source_instance,
@@ -344,8 +280,8 @@ def build_exchange_data(
     if timings is not None:
         indexed_at = clock()
         timings["chase"] = chased_at - started
-        timings["groundings"] = grounded_at - chased_at
-        timings["violations"] = violations_at - grounded_at
+        timings["groundings"] = 0.0
+        timings["violations"] = violations_at - chased_at
         timings["index"] = indexed_at - violations_at
     if chase_stats is not None:
         metrics.counter("exchange_chase_rounds_total").inc(
@@ -375,8 +311,8 @@ def _build_fact_indexes(
     """
     intern = data.intern_fact
     # Sorted interning gives fresh builds a canonical id universe (the
-    # same for every evaluation strategy); on a rebuild the ids already
-    # exist and interning is an order-insensitive no-op lookup.
+    # same whatever order the chase found the facts in); on a rebuild the
+    # ids already exist and interning is an order-insensitive no-op lookup.
     for fact in sorted(data.chased, key=repr):
         intern(fact)
     id_of = data.fact_ids.__getitem__

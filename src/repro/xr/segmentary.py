@@ -136,7 +136,6 @@ class ExchangePhaseStats:
     clusters: int = 0
     suspect_source_facts: int = 0
     safe_source_facts: int = 0
-    strategy: str = "batch"
 
 
 # A shared empty program for groups fully decided by the caches.
@@ -219,7 +218,6 @@ class SegmentaryEngine:
         budget: SolveBudget | None = None,
         obs: Recorder | None = None,
         solve_strategy: str = "incremental",
-        exchange_strategy: str = "batch",
     ):
         if isinstance(mapping, ReducedMapping):
             self.reduced = mapping
@@ -234,12 +232,6 @@ class SegmentaryEngine:
                 "'incremental' or 'per-signature'"
             )
         self.solve_strategy = solve_strategy
-        if exchange_strategy not in ("batch", "tuple"):
-            raise ValueError(
-                f"unknown exchange strategy {exchange_strategy!r}; choose "
-                "'batch' or 'tuple'"
-            )
-        self.exchange_strategy = exchange_strategy
         self.jobs = jobs
         self.budget = budget if budget is not None else NO_BUDGET
         self.obs = obs if obs is not None else NOOP_RECORDER
@@ -316,10 +308,7 @@ class SegmentaryEngine:
         started = time.perf_counter()
         with tracer.span("exchange"):
             data = build_exchange_data(
-                self.reduced.gav,
-                self.instance,
-                obs=self.obs,
-                strategy=self.exchange_strategy,
+                self.reduced.gav, self.instance, obs=self.obs
             )
             with tracer.span("exchange.envelope"):
                 analysis = analyze_envelopes(data)
@@ -332,7 +321,6 @@ class SegmentaryEngine:
             clusters=len(analysis.clusters),
             suspect_source_facts=len(analysis.suspect_source),
             safe_source_facts=len(analysis.safe_source),
-            strategy=self.exchange_strategy,
         )
         # Publish only once everything (stats included) is complete: the
         # unlocked fast path above keys on `analysis is not None`.
@@ -392,7 +380,6 @@ class SegmentaryEngine:
             clusters=len(self.analysis.clusters),
             suspect_source_facts=len(self.analysis.suspect_source),
             safe_source_facts=len(self.analysis.safe_source),
-            strategy=self.exchange_strategy,
         )
 
     # --------------------------------------------------------- query phase

@@ -1,13 +1,14 @@
 """Tests for the set-at-a-time batch operators.
 
-Every batch operator is checked against its tuple-at-a-time reference:
-``batch_chase`` vs ``gav_chase`` (same fixpoint *and* same round/derived
-counters), the groundings the chase emits and ``enumerate_groundings_batch``
-vs ``enumerate_groundings`` (same grounding set, each grounding exactly
-once, under every planner mode), ``find_violations_batch`` vs
-``find_violations`` (same canonical violation list).  Internal mechanics
-with observable consequences — signature-shared indexes, one object per
-fact — get direct tests too.
+Every batch operator is checked against the naive test-only reference of
+:mod:`tests.naive_exchange`: ``batch_chase`` vs ``naive_chase`` (same
+fixpoint *and* same round/derived counters), the groundings the chase
+emits and ``enumerate_groundings_batch`` vs ``naive_groundings`` (same
+grounding set, each grounding exactly once, under every planner mode),
+``find_violations_batch`` vs ``naive_violations`` (same canonical
+violation list).  Internal mechanics with observable consequences —
+signature-shared indexes, one object per fact, a resumable chase state
+whose extensions find each new binding once — get direct tests too.
 """
 
 import os
@@ -19,6 +20,7 @@ import pytest
 
 from repro.chase.batch import (
     BatchOptions,
+    ChaseState,
     _AtomStep,
     _IndexCache,
     batch_chase,
@@ -26,13 +28,13 @@ from repro.chase.batch import (
     find_violations_batch,
     plan_mode,
 )
-from repro.chase.gav import enumerate_groundings, gav_chase
 from repro.parser import parse_dependency
 from repro.relational import Fact, Instance
 from repro.relational.queries import Atom
 from repro.relational.terms import Variable
 from repro.scenarios.tpch import tpch_mapping, tpch_scenario
-from repro.xr.exchange import canonicalize_violations, find_violations
+from repro.xr.exchange import canonicalize_violations
+from tests.naive_exchange import naive_chase, naive_groundings, naive_violations
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -57,11 +59,11 @@ TC_RULES = [rule("E(x,y) -> P(x,y)."), rule("P(x,y), P(y,z) -> P(x,z).")]
 class TestBatchChase:
     def test_matches_gav_chase_facts_and_stats(self):
         batch_stats: dict[str, int] = {}
-        tuple_stats: dict[str, int] = {}
+        naive_stats: dict[str, int] = {}
         batch = batch_chase(chain(), TC_RULES, stats=batch_stats)
-        reference = gav_chase(chain(), TC_RULES, stats=tuple_stats)
+        reference = naive_chase(chain(), TC_RULES, stats=naive_stats)
         assert set(batch) == set(reference)
-        assert batch_stats == tuple_stats
+        assert batch_stats == naive_stats
 
     def test_matches_on_tpch_cell(self):
         scenario = tpch_scenario(0.005, 0.4, 3)
@@ -69,17 +71,17 @@ class TestBatchChase:
 
         tgds = reduce_mapping(scenario.mapping).gav.st_tgds
         batch_stats: dict[str, int] = {}
-        tuple_stats: dict[str, int] = {}
+        naive_stats: dict[str, int] = {}
         batch = batch_chase(scenario.instance, tgds, stats=batch_stats)
-        reference = gav_chase(scenario.instance, tgds, stats=tuple_stats)
+        reference = naive_chase(scenario.instance, tgds, stats=naive_stats)
         assert set(batch) == set(reference)
-        assert batch_stats == tuple_stats
+        assert batch_stats == naive_stats
         assert batch_stats["rounds"] >= 2  # the target-side join tgd fires
 
     def test_skolem_heads(self):
         source = Instance([f("R", "a", "b"), f("R", "a", "c")])
         assert set(batch_chase(source, [skolem_rule()])) == set(
-            gav_chase(source, [skolem_rule()])
+            naive_chase(source, [skolem_rule()])
         )
 
     def test_non_gav_rule_rejected(self):
@@ -146,7 +148,7 @@ class TestChaseGroundings:
     )
     def test_emitted_set_matches_enumerate_groundings(self, label, instance, rules):
         chased, emitted, _stats = self.run(instance, rules)
-        reference = list(enumerate_groundings(rules, chased))
+        reference = list(naive_groundings(rules, chased))
         assert len(emitted) == len(reference)
         assert {(id(r), b, h) for r, b, h in emitted} == {
             (id(r), b, h) for r, b, h in reference
@@ -170,7 +172,7 @@ class TestChaseGroundings:
     def test_counters_and_fixpoint_match_gav_chase(self, label, instance, rules):
         chased, _emitted, stats = self.run(instance, rules)
         reference_stats: dict[str, int] = {}
-        reference = gav_chase(instance, rules, stats=reference_stats)
+        reference = naive_chase(instance, rules, stats=reference_stats)
         assert set(chased) == set(reference)
         assert stats == reference_stats
 
@@ -236,18 +238,18 @@ class TestGroundings:
     def reference_of(self, rules, instance):
         return {
             (rule.label, body, head)
-            for rule, body, head in enumerate_groundings(rules, instance)
+            for rule, body, head in naive_groundings(rules, instance)
         }
 
     def test_hash_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
+        chased = naive_chase(chain(), TC_RULES)
         plan_log: dict[str, str] = {}
         got = self.groundings_of(TC_RULES, chased, plan_log=plan_log)
         assert got == self.reference_of(TC_RULES, chased)
         assert "hash" in plan_log.values()
 
     def test_nested_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
+        chased = naive_chase(chain(), TC_RULES)
         plan_log: dict[str, str] = {}
         got = self.groundings_of(
             TC_RULES, chased, options=FORCE_NESTED, plan_log=plan_log
@@ -266,11 +268,11 @@ class TestViolations:
         from repro.reduction.reduce import reduce_mapping
 
         gav = reduce_mapping(scenario.mapping).gav
-        chased = gav_chase(scenario.instance, gav.st_tgds)
+        chased = naive_chase(scenario.instance, gav.st_tgds)
         batch = canonicalize_violations(
             find_violations_batch(gav.target_egds, chased)
         )
-        assert batch == find_violations(gav, chased)
+        assert batch == naive_violations(gav.target_egds, chased)
         assert batch  # injection at 50 % must produce violations
 
     def test_all_modes_agree(self):
@@ -278,7 +280,7 @@ class TestViolations:
         from repro.reduction.reduce import reduce_mapping
 
         gav = reduce_mapping(scenario.mapping).gav
-        chased = gav_chase(scenario.instance, gav.st_tgds)
+        chased = naive_chase(scenario.instance, gav.st_tgds)
         results = {}
         for label, options in (
             ("nested", FORCE_NESTED),
@@ -304,6 +306,18 @@ class TestIndexSharing:
         cache = _IndexCache(instance)
         assert cache.index_for(step_a) is cache.index_for(step_b)
 
+    def test_removal_keeps_arrival_order(self):
+        instance = Instance([f("T", 0, 1)])
+        step = _AtomStep(Atom("T", (X, Y)), {})
+        cache = _IndexCache(instance)
+        bucket = cache.index_for(step)[()]  # no bound variables: one bucket
+        facts = [f("T", 0, i) for i in range(2, 6)]
+        for arrival, fact in enumerate(facts, start=1):
+            cache.add_fact(fact, arrival)
+        cache.remove_fact(facts[0])
+        assert [arrival for _extension, arrival in bucket] == [0, 2, 3, 4]
+        assert facts[0] not in [extension[-1] for extension, _ in bucket]
+
     def test_incremental_maintenance(self):
         instance = Instance([f("T", 1, 2)])
         layout: dict[Variable, int] = {}
@@ -313,3 +327,78 @@ class TestIndexSharing:
         cache.add_fact(f("T", 3, 4))
         after = sum(len(bucket) for bucket in cache.index_for(step).values())
         assert after == before + 1
+
+
+class TestChaseState:
+    """The resumable chase: extensions, retraction, delta violations."""
+
+    @staticmethod
+    def chased_state(instance, rules, egds=()):
+        work = instance.copy()
+        state = ChaseState(work, rules, egds)
+        groundings: list = []
+        state.extend(list(work), groundings)
+        return state, groundings
+
+    @staticmethod
+    def keys(groundings):
+        return sorted(
+            (rule.label, repr(body), repr(head)) for rule, body, head in groundings
+        )
+
+    def test_extension_finds_each_new_binding_once(self):
+        state, groundings = self.chased_state(chain(4), TC_RULES)
+        for fact in (f("E", 4, 5), f("E", 9, 0)):
+            delta = state.insert([fact])
+            rounds, derived = state.extend(delta, groundings)
+            assert rounds >= 1
+            assert all(fact in state.work for fact in derived)
+        source = chain(5)
+        source.add(f("E", 9, 0))
+        assert set(state.work) == set(naive_chase(source, TC_RULES))
+        reference = naive_groundings(TC_RULES, state.work)
+        assert self.keys(groundings) == self.keys(reference)
+
+    def test_insert_skips_present_facts(self):
+        state, _groundings = self.chased_state(chain(3), TC_RULES)
+        assert state.insert([f("E", 0, 1), f("P", 0, 3)]) == []
+        assert state.extend([]) == (0, [])
+
+    def test_retract_then_reinsert_restores_the_groundings(self):
+        state, groundings = self.chased_state(chain(3), TC_RULES)
+        before = self.keys(groundings)
+        dead = [fact for fact in state.work if fact.args[1] == 3]
+        state.retract(dead)
+        survivors = [
+            g for g in groundings
+            if g[2] in state.work and all(fact in state.work for fact in g[1])
+        ]
+        for fact in dead:
+            assert fact not in state.work
+        for index in state.cache._by_signature.values():
+            for bucket in index.values():
+                assert bucket, "empty buckets are dropped"
+                arrivals = [arrival for _extension, arrival in bucket]
+                assert arrivals == sorted(arrivals)
+                assert all(entry[0][-1] in state.work for entry in bucket)
+        delta = state.insert([f("E", 2, 3)])
+        state.extend(delta, survivors)
+        assert self.keys(survivors) == before
+
+    def test_delta_violations_use_a_new_fact(self):
+        egd = parse_dependency("T(x, y), T(x, z) -> y = z.")
+        copy = rule("R(x, y) -> T(x, y).")
+        state, _groundings = self.chased_state(
+            Instance([f("R", "a", "b"), f("R", "c", "d")]), [copy], [egd]
+        )
+        delta = state.insert([f("R", "a", "e")])
+        since = state.arrival
+        _rounds, derived = state.extend(delta)
+        found = state.violations(delta + derived, since)
+        # Both orientations of the one new clash, nothing about old facts.
+        assert sorted((v.lhs_value, v.rhs_value) for v in found) == [
+            ("b", "e"), ("e", "b")
+        ]
+        assert canonicalize_violations(found) == naive_violations(
+            [egd], state.work
+        )

@@ -1,9 +1,10 @@
-"""Tests for the semi-naive GAV/skolem chase and grounding enumeration."""
+"""Semantics of the GAV/skolem chase and of its grounding emission, run
+on :func:`~repro.chase.batch.batch_chase`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.chase.gav import enumerate_groundings, gav_chase
+from repro.chase.batch import batch_chase
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.parser import parse_dependency
 from repro.relational import Fact, Instance
@@ -23,20 +24,20 @@ def rule(text):
 
 class TestGavChase:
     def test_copy_rule(self):
-        result = gav_chase(Instance([f("R", "a", "b")]), [rule("R(x,y) -> T(x,y).")])
+        result = batch_chase(Instance([f("R", "a", "b")]), [rule("R(x,y) -> T(x,y).")])
         assert f("T", "a", "b") in result
         assert f("R", "a", "b") in result  # source preserved
 
     def test_transitive_closure(self):
         rules = [rule("E(x,y) -> P(x,y)."), rule("P(x,y), P(y,z) -> P(x,z).")]
         chain = Instance([f("E", i, i + 1) for i in range(6)])
-        result = gav_chase(chain, rules)
+        result = batch_chase(chain, rules)
         assert f("P", 0, 6) in result
         assert len(result.facts_of("P")) == 21  # 6+5+4+3+2+1
 
     def test_skolem_head(self):
         skolem_rule = TGD([Atom("R", (X,))], [Atom("T", (X, SkolemTerm("f", [X])))])
-        result = gav_chase(Instance([f("R", "a")]), [skolem_rule])
+        result = batch_chase(Instance([f("R", "a")]), [skolem_rule])
         assert f("T", "a", SkolemValue("f", ("a",))) in result
 
     def test_skolem_dedup_across_triggers(self):
@@ -45,29 +46,37 @@ class TestGavChase:
             [Atom("R", (X, Y))], [Atom("T", (X, SkolemTerm("f", [X])))]
         )
         source = Instance([f("R", "a", "b"), f("R", "a", "c")])
-        result = gav_chase(source, [skolem_rule])
+        result = batch_chase(source, [skolem_rule])
         assert len(result.facts_of("T")) == 1
 
     def test_non_gav_rule_rejected(self):
         with pytest.raises(ValueError, match="GAV"):
-            gav_chase(Instance(), [rule("R(x) -> T(x, z).")])
+            batch_chase(Instance(), [rule("R(x) -> T(x, z).")])
 
     def test_empty_rules(self):
         source = Instance([f("R", "a")])
-        assert set(gav_chase(source, [])) == set(source)
+        assert set(batch_chase(source, [])) == set(source)
 
     def test_constants_in_rule_body(self):
         constant_rule = rule("R('only', x) -> T(x).")
         source = Instance([f("R", "only", "a"), f("R", "other", "b")])
-        result = gav_chase(source, [constant_rule])
+        result = batch_chase(source, [constant_rule])
         assert set(result.facts_of("T")) == {f("T", "a")}
+
+
+def chase_groundings(instance, rules):
+    """The groundings ``batch_chase`` emits while chasing ``instance``."""
+    groundings: list = []
+    batch_chase(instance, rules, groundings=groundings)
+    return groundings
 
 
 class TestEnumerateGroundings:
     def test_all_groundings_reported(self):
         rules = [rule("E(x,y), E(y,z) -> P(x,z).")]
-        inst = gav_chase(Instance([f("E", 1, 2), f("E", 2, 3)]), rules)
-        groundings = list(enumerate_groundings(rules, inst))
+        groundings = chase_groundings(
+            Instance([f("E", 1, 2), f("E", 2, 3)]), rules
+        )
         assert (
             rules[0],
             (f("E", 1, 2), f("E", 2, 3)),
@@ -77,16 +86,14 @@ class TestEnumerateGroundings:
     def test_tautological_groundings_dropped(self):
         trans = rule("P(x,y), P(y,z) -> P(x,z).")
         inst = Instance([f("P", "a", "a"), f("P", "a", "b")])
-        groundings = list(enumerate_groundings([trans], inst))
+        groundings = chase_groundings(inst, [trans])
         for _rule, body, head in groundings:
             assert head not in body
 
     def test_deduplication(self):
         # Two bindings producing the same grounding appear once.
         dup = rule("R(x, y) -> T(x).")
-        inst = Instance([f("R", "a", "b")])
-        inst = gav_chase(inst, [dup])
-        groundings = list(enumerate_groundings([dup], inst))
+        groundings = chase_groundings(Instance([f("R", "a", "b")]), [dup])
         assert len(groundings) == 1
 
 
@@ -99,10 +106,11 @@ class TestEnumerateGroundings:
     )
 )
 def test_gav_chase_matches_naive_fixpoint(edges):
-    """Semi-naive chase equals a naive fixpoint on transitive closure."""
+    """The semi-naive batch chase equals a naive fixpoint on transitive
+    closure."""
     rules = [rule("E(x,y) -> P(x,y)."), rule("P(x,y), P(y,z) -> P(x,z).")]
     source = Instance(f("E", a, b) for a, b in edges)
-    result = gav_chase(source, rules)
+    result = batch_chase(source, rules)
 
     # Naive fixpoint.
     pairs = set(edges)

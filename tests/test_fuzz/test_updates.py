@@ -22,6 +22,8 @@ from repro.fuzz.updates import (
 )
 from repro.incremental import Delta, apply_delta
 from repro.relational import Fact
+from repro.xr.exchange import build_exchange_data
+from repro.xr.segmentary import SegmentaryEngine
 
 UPDATES_CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "updates"
 
@@ -115,7 +117,7 @@ class TestDifferentialSmoke:
                 deltas = candidate
                 break
         assert deltas[0] is not None, "no insert-bearing stream found"
-        assert check_update_stream(scenario, deltas, DEFAULT_CONFIG) == []
+        assert check_update_stream(scenario, deltas) == []
 
         def corrupted(instance, delta):
             return apply_delta(
@@ -123,8 +125,28 @@ class TestDifferentialSmoke:
             )
 
         monkeypatch.setattr(updates_module, "apply_delta", corrupted)
-        problems = check_update_stream(scenario, deltas, DEFAULT_CONFIG)
+        problems = check_update_stream(scenario, deltas)
         assert problems, "harness failed to notice a corrupted reference"
+
+    def test_detects_a_duplicated_grounding(self, monkeypatch):
+        """A grounding appended twice changes no set, only a count: the
+        grounding multiset comparison must still flag it."""
+        from repro.incremental.session import UpdateSession
+        from repro.xr.exchange import append_grounding
+
+        original = UpdateSession.apply
+
+        def apply_and_duplicate(session, delta):
+            report = original(session, delta)
+            append_grounding(session.data, session.data.groundings[-1])
+            return report
+
+        scenario = random_scenario(1, DEFAULT_CONFIG)
+        deltas = random_update_stream(1, scenario, 3, DEFAULT_CONFIG)
+        assert check_update_stream(scenario, deltas) == []
+        monkeypatch.setattr(UpdateSession, "apply", apply_and_duplicate)
+        problems = check_update_stream(scenario, deltas)
+        assert problems and problems[0].startswith("groundings mismatch")
 
 
 class TestSolverHardSeeds:
@@ -143,8 +165,6 @@ class TestSolverHardSeeds:
         silently rising above what the seed produces, which would turn
         the test above back into an hours-long solve)."""
         from repro.fuzz.updates import ANSWER_CHECK_INFLUENCE_CAP
-        from repro.xr.segmentary import SegmentaryEngine
-
         scenario = random_scenario(89, DEFAULT_CONFIG)
         deltas = random_update_stream(89, scenario, 6, DEFAULT_CONFIG)
         engine = SegmentaryEngine(scenario.mapping, scenario.instance.copy())
@@ -175,19 +195,29 @@ class TestCorpus:
         for path, problems in replay_update_corpus(UPDATES_CORPUS):
             assert not problems, f"{path.name}: " + "; ".join(problems)
 
-    def test_corpus_replays_clean_under_both_exchange_strategies(self):
-        """Incremental-on-batch (PR 10 satellite): the PR 7 update corpus
-        must stay per-step bit-identical when both the warm engine and the
-        from-scratch reference build their exchange with the batch
-        operators — and with the tuple path, for symmetry."""
-        from dataclasses import replace
-
-        for strategy in ("batch", "tuple"):
-            config = replace(DEFAULT_CONFIG, exchange_strategy=strategy)
-            for path, problems in replay_update_corpus(UPDATES_CORPUS, config):
-                assert not problems, (
-                    f"{path.name} [{strategy}]: " + "; ".join(problems)
+    def test_corpus_replays_without_duplicate_groundings(self):
+        """The delta-chase finds each new binding exactly once, with no
+        dedup set behind it: after every step of every corpus stream the
+        warm session's grounding list holds no grounding twice (rules that
+        compare equal still own one grounding each, as in
+        ``duplicate-head-rule``) and is exactly as long as a from-scratch
+        exchange's."""
+        for path, scenario, deltas in load_update_corpus(UPDATES_CORPUS):
+            engine = SegmentaryEngine(scenario.mapping, scenario.instance.copy())
+            session = engine.update_session()
+            current = scenario.instance.copy()
+            for step, delta in enumerate(deltas):
+                session.apply(delta)
+                current = apply_delta(current, delta)
+                keys = [(id(r), b, h) for r, b, h in engine.data.groundings]
+                assert len(keys) == len(set(keys)), f"{path.name} step {step}"
+                reference = build_exchange_data(
+                    engine.reduced.gav, current.copy()
                 )
+                assert len(keys) == len(reference.groundings), (
+                    f"{path.name} step {step}"
+                )
+            engine.close()
 
     def test_generated_entries_match_their_seeds(self):
         """Seed-named corpus files are regenerable byte-for-byte."""

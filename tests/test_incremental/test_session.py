@@ -4,8 +4,15 @@ The property tests are the satellite contract of PR 7: applying a delta
 and then its inverse restores the exchange state exactly;
 ``chase(I ∪ Δ) == delta_chase(chase(I), Δ)`` across fuzz seeds; and
 clusters disjoint from a delta's support survive **object-identical**
-(the locality guarantee the signature cache's survival rests on).
+(the locality guarantee the signature cache's survival rests on).  On the
+genomics grid, retracting and re-inserting suspects leaves no duplicate
+grounding behind and ends in the same state under any ``PYTHONHASHSEED``.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +180,78 @@ class TestDeltaChaseAlgebra:
                 if cluster.index in before:
                     assert cluster is before[cluster.index]
         engine.close()
+
+
+def _suspect_round_trips(name):
+    """An engine on genomics cell ``name``, its session, and one
+    retract-then-re-insert delta pair per suspect source fact."""
+    from repro.bench.micro import parse_scenario_name
+    from repro.genomics.instances import build_instance
+    from repro.genomics.schema import genome_mapping
+
+    instance = build_instance(parse_scenario_name(name)).instance
+    engine = SegmentaryEngine(genome_mapping(), instance)
+    session = engine.update_session()
+    pairs = [
+        (Delta(retracts=frozenset({fact})), Delta(inserts=frozenset({fact})))
+        for fact in sorted(engine.analysis.suspect_source, key=repr)
+    ]
+    return engine, session, pairs
+
+
+class TestSuspectRoundTrips:
+    def test_each_suspect_round_trip_restores_the_exchange(self):
+        engine, session, pairs = _suspect_round_trips("S3")
+        data = engine.data
+        facts = list(data.facts_by_id)
+        groundings = {(id(r), b, h) for r, b, h in data.groundings}
+        assert pairs
+        position = {id(rule): i for i, rule in enumerate(data.mapping.all_tgds())}
+        for retract, insert in pairs:
+            session.apply(retract)
+            added = session.apply(insert).groundings_added
+            assert added
+            # The delta's groundings are appended in canonical order.
+            tail = [
+                (position[id(r)], data.fact_ids[h], [data.fact_ids[f] for f in b])
+                for r, b, h in data.groundings[-added:]
+            ]
+            assert tail == sorted(tail)
+            keys = [(id(r), b, h) for r, b, h in data.groundings]
+            assert len(keys) == len(set(keys)), "a grounding found twice"
+            assert set(keys) == groundings
+            assert data.facts_by_id == facts
+        engine.close()
+
+    def test_update_stream_state_is_independent_of_hash_seed(self):
+        """Fact ids, the grounding list and the violation list after a
+        suspect round-trip stream are the same under two hash seeds."""
+        program = (
+            "import hashlib\n"
+            "from tests.test_incremental.test_session import "
+            "_suspect_round_trips\n"
+            "engine, session, pairs = _suspect_round_trips('S3')\n"
+            "for retract, insert in pairs:\n"
+            "    session.apply(retract)\n"
+            "    session.apply(insert)\n"
+            "data = engine.data\n"
+            "groundings = [(r.label, b, h) for r, b, h in data.groundings]\n"
+            "for part in (data.facts_by_id, groundings, data.violations):\n"
+            "    text = repr(list(part)).encode()\n"
+            "    print(len(part), hashlib.sha256(text).hexdigest())\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True, text=True, env=env, check=True, cwd=root,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        counts = [int(line.split()[0]) for line in outputs[0].splitlines()]
+        assert len(counts) == 3 and all(counts)

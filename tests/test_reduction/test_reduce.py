@@ -155,7 +155,7 @@ class TestSemanticEquivalence:
         ],
     )
     def test_consistency_matches(self, facts, consistent):
-        from repro.chase import gav_chase, has_solution
+        from repro.chase import has_solution
         from repro.relational import Fact, Instance
         from repro.xr.exchange import build_exchange_data
 

@@ -1,12 +1,10 @@
-"""The batch-vs-tuple differential battery (PR 10 satellite 1).
+"""The batch-vs-reference differential battery.
 
-``build_exchange_data(strategy="batch")`` must be **bit-identical** to
-``strategy="tuple"`` — same chased instance, same canonical grounding and
-violation lists, same interned id universe and adjacency arrays, same
-cluster partition — across the fuzz corpus, freeform/iBench fuzz seeds,
-and the TPC-H grid.  The full-engine cross-check (answers under either
-strategy, including the ``segmentary-*-exchange`` axis inside
-``run_differential``) rides on top.
+``build_exchange_data`` (the batch chase) must be **bit-identical** to the
+naive test-only reference of :mod:`tests.naive_exchange` — same chased
+instance, same canonical grounding and violation lists, same interned id
+universe and adjacency arrays, same cluster partition — across the fuzz
+corpus, freeform/iBench fuzz seeds, and the TPC-H grid.
 """
 
 from dataclasses import replace
@@ -15,16 +13,16 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz.corpus import load_corpus
-from repro.fuzz.differential import run_differential
 from repro.fuzz.generator import DEFAULT_CONFIG, random_scenario
 from repro.reduction.reduce import reduce_mapping
 from repro.scenarios.tpch import tpch_scenario
 from repro.xr.envelope import analyze_envelopes
-from repro.xr.exchange import EXCHANGE_STRATEGIES, build_exchange_data
+from repro.xr.exchange import build_exchange_data
+from tests.naive_exchange import naive_exchange_data
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
-#: Every strategy-sensitive artifact of the exchange computation.
+#: Every evaluation-sensitive artifact of the exchange computation.
 COMPARED_FIELDS = (
     "groundings",
     "violations",
@@ -41,11 +39,8 @@ COMPARED_FIELDS = (
 
 def assert_identical_exchange(mapping, instance, label):
     gav = mapping if mapping.is_gav_gav_egd() else reduce_mapping(mapping).gav
-    results = {
-        strategy: build_exchange_data(gav, instance, strategy=strategy)
-        for strategy in EXCHANGE_STRATEGIES
-    }
-    batch, reference = results["batch"], results["tuple"]
+    batch = build_exchange_data(gav, instance)
+    reference = naive_exchange_data(gav, instance)
     # The Instance's iteration order is incidental (chase insertion
     # order); the canonical order lives in the interned universe
     # (``facts_by_id``), compared below.
@@ -99,32 +94,3 @@ class TestCorpusAndTpch:
             scenario.mapping, scenario.instance,
             f"tpch sf={scale} r={ratio} seed={seed}",
         )
-
-
-class TestEngineCross:
-    def test_run_differential_covers_both_strategies(self):
-        """The differential harness itself runs a cross-strategy engine
-        axis; a clean report therefore certifies answer-level agreement."""
-        config = replace(
-            DEFAULT_CONFIG, use_oracle=False, check_parallel=False
-        )
-        scenario = random_scenario(12, config)
-        report = run_differential(scenario, config)
-        assert any(
-            name.startswith("segmentary-tuple-exchange")
-            for name in report.engines
-        )
-        assert report.ok, "; ".join(str(d) for d in report.discrepancies)
-
-    def test_tuple_strategy_config_flips_cross_axis(self):
-        config = replace(
-            DEFAULT_CONFIG, use_oracle=False, check_parallel=False,
-            exchange_strategy="tuple",
-        )
-        scenario = random_scenario(12, config)
-        report = run_differential(scenario, config)
-        assert any(
-            name.startswith("segmentary-batch-exchange")
-            for name in report.engines
-        )
-        assert report.ok, "; ".join(str(d) for d in report.discrepancies)

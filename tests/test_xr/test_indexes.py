@@ -10,7 +10,7 @@ on the genomics mapping.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chase.gav import gav_chase
+from repro.chase.batch import batch_chase
 from repro.fuzz.generator import random_scenario
 from repro.genomics.instances import InstanceProfile, build_instance
 from repro.genomics.schema import genome_mapping
@@ -90,7 +90,7 @@ def test_derivable_ids_is_the_chase_fixpoint(seed):
     source_ids = sorted(data.id_set(data.source_facts))
     seed_ids = set(source_ids[:: 2])  # an arbitrary sub-instance
     derived = derivable_ids(seed_ids, data)
-    rechased = gav_chase(
+    rechased = batch_chase(
         Instance(data.facts_by_id[i] for i in seed_ids),
         list(data.mapping.all_tgds()),
     )

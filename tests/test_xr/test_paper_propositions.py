@@ -68,7 +68,7 @@ def test_proposition_2_repairs_localize_to_envelope(seed):
 def test_proposition_4_influence_is_exchange_envelope(seed):
     """Prop. 4: facts of J missing from an XR-solution lie in the influence
     of the suspect set (the target side of the exchange repair envelope)."""
-    from repro.chase.gav import gav_chase
+    from repro.chase.batch import batch_chase
     from repro.xr.envelope import influence
 
     mapping, instance, _query = random_scenario(seed)
@@ -79,7 +79,7 @@ def test_proposition_4_influence_is_exchange_envelope(seed):
 
     tgds = list(reduced.gav.all_tgds())
     for repair in source_repairs(instance, mapping):
-        repaired_chase = gav_chase(Instance(repair), tgds)
+        repaired_chase = batch_chase(Instance(repair), tgds)
         missing = set(data.chased) - set(repaired_chase)
         assert missing <= target_envelope
 
