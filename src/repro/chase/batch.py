@@ -779,6 +779,76 @@ def enumerate_groundings_batch(
                 yield rule, body_facts, head_fact
 
 
+def join_bodies(
+    instance: Instance,
+    bodies: Iterable[tuple[Sequence[Atom], Sequence[Variable]]],
+) -> Iterator[
+    tuple[list[tuple], Callable[[tuple], tuple], Callable[[tuple], tuple]]
+]:
+    """The full join of each ``(body, outputs)`` over ``instance``.
+
+    Yields ``(rows, values_of, body_of)`` per body: ``values_of(row)`` is
+    the tuple of the ``outputs``' values, ``body_of(row)`` the matched
+    facts in body order — the instance's own fact objects.  A body with
+    an atom of another arity than its relation's facts matches nothing.
+
+    Each step probes a hash index over its relation, from one index cache
+    the bodies share and that lives for this call — unless it has a bound
+    or constant position and fewer rows than its relation has facts: then
+    it probes the instance's own per-position index
+    (:func:`_lookup_probe`), so a selective join over a large relation
+    does not pay for hashing all of it.
+    """
+    cache = _IndexCache(instance)
+    for body, outputs in bodies:
+        plan = _BodyPlan(instance, body)
+        values_of = _tuple_projector([plan.layout[v] for v in outputs])
+        rows: list[tuple] = [()]
+        if not all(_arity_fits(instance, atom) for atom in body):
+            rows = []
+        for step in plan.steps:
+            if not rows:
+                break
+            selective = len(rows) < len(instance.facts_of(step.relation))
+            if selective and (step.key_positions or step.const_checks):
+                rows = _lookup_probe(step, instance, rows)
+            else:
+                rows = _probe(step, cache.index_for(step), rows)
+        yield rows, values_of, plan.body_of
+
+
+def _lookup_probe(
+    step: _AtomStep, instance: Instance, rows: list[tuple]
+) -> list[tuple]:
+    """:func:`_probe` through :meth:`Instance.lookup` on one bound (or
+    constant) position; :meth:`_AtomStep.admit` checks the rest."""
+    if step.key_positions:
+        position = step.key_positions[0]
+        value_of = itemgetter(step.key_slots[0])
+    else:
+        position, value = step.const_checks[0]
+        value_of = lambda row: value
+    relation, admit, key_of_row = step.relation, step.admit, step.key_of_row
+    lookup = instance.lookup
+    out: list[tuple] = []
+    append = out.append
+    for row in rows:
+        key = key_of_row(row)
+        for fact in lookup(relation, position, value_of(row)):
+            entry = admit(fact)
+            if entry is not None and entry[0] == key:
+                append(row + entry[1])
+    return out
+
+
+def _arity_fits(instance: Instance, atom: Atom) -> bool:
+    """Whether ``atom`` has the arity of its relation's facts (all facts
+    of a relation share one arity; the index projections rely on it)."""
+    for fact in instance.facts_of(atom.relation):
+        return len(fact.args) == atom.arity
+    return True
+
+
 def find_violations_batch(
     egds: Sequence[EGD],
     chased: Instance,

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from repro.relational.instance import Fact
 
@@ -68,7 +68,7 @@ ProgramKey = tuple[
 
 
 def decision_key(
-    supports: Iterable[tuple[Fact, ...]], safe: set[Fact]
+    supports: Iterable[tuple[Fact, ...]], safe: Container[Fact]
 ) -> DecisionKey:
     """The focus-support structure of one candidate (memo key)."""
     return frozenset(

@@ -65,6 +65,9 @@ class ReproServer(ThreadingHTTPServer):
 class ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # TCP_NODELAY: also keeps the base class's own error responses
+    # (headers and body written apart) from stalling on Nagle.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; a load test at a
     # few hundred QPS would drown the console.
@@ -89,6 +92,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         if self.path not in ("/query", "/update"):
+            # The body stays unread: close after answering, or a kept-alive
+            # connection would parse it as the next request.
+            self.close_connection = True
             self._send_json(404, {"error": f"no such path: {self.path}"})
             return
         try:
@@ -114,15 +120,19 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json(200, body)
 
     def _read_json_body(self) -> object:
+        def unread(message: str) -> ProtocolError:
+            self.close_connection = True  # as for an unknown path
+            return ProtocolError(message)
+
         length = self.headers.get("Content-Length")
         if length is None:
-            raise ProtocolError("Content-Length required")
+            raise unread("Content-Length required")
         try:
             size = int(length)
         except ValueError:
-            raise ProtocolError(f"bad Content-Length: {length!r}") from None
+            raise unread(f"bad Content-Length: {length!r}") from None
         if size < 0 or size > MAX_BODY_BYTES:
-            raise ProtocolError(f"body size {size} out of range")
+            raise unread(f"body size {size} out of range")
         raw = self.rfile.read(size)
         try:
             return json.loads(raw)
@@ -152,13 +162,23 @@ class ServeHandler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
+        """Write one whole response — status line, headers and body — in
+        a single write.  ``end_headers`` would flush the headers on their
+        own; two small writes per response on a keep-alive connection meet
+        Nagle's algorithm and the client's delayed ACK, a ~40 ms stall per
+        request."""
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(encoded)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # What end_headers() would write: the buffered head, then a blank
+        # line.  An HTTP/0.9 request buffers no head (the bare body).
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + encoded if head else encoded)
 
 
 def run_serve(

@@ -8,12 +8,9 @@ the candidate fact.  Answers are restricted to constants (``q↓``).
 
 from __future__ import annotations
 
+from repro.chase.batch import join_bodies
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import (
-    ConjunctiveQuery,
-    UnionOfConjunctiveQueries,
-    match_atoms,
-)
+from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.relational.terms import is_constant_value
 
 QUERY_RELATION_PREFIX = "__q_"
@@ -29,27 +26,39 @@ def ground_query(
 ) -> list[tuple[Fact, tuple[Fact, ...]]]:
     """All (candidate fact, support set) pairs of the query over ``chased``.
 
-    Only bindings whose answer values are all constants are kept — skolem
-    values stand for labelled nulls and cannot be certain answers.
+    Each disjunct body is one batch join
+    (:func:`~repro.chase.batch.join_bodies`) whose rows carry the matched
+    facts, so a support set is the row's body facts — ``chased``'s own
+    objects — with repeats dropped.  Only bindings whose answer values
+    are all constants are kept: skolem values stand for labelled nulls
+    and cannot be certain answers.
     """
     disjuncts = (
         [query] if isinstance(query, ConjunctiveQuery) else list(query.disjuncts)
     )
     relation = query_relation_name(query.name)
+    # Answer tuple -> its candidate fact, or None when it holds a null.
+    candidates: dict[tuple, Fact | None] = {}
     results: list[tuple[Fact, tuple[Fact, ...]]] = []
     seen: set[tuple[Fact, tuple[Fact, ...]]] = set()
-    for disjunct in disjuncts:
-        for binding in match_atoms(chased, list(disjunct.body)):
-            answer = tuple(binding[v] for v in disjunct.head_vars)
-            if not all(is_constant_value(value) for value in answer):
+    joins = join_bodies(chased, ((d.body, d.head_vars) for d in disjuncts))
+    for rows, answer_of, body_of in joins:
+        for row in rows:
+            answer = answer_of(row)
+            if answer in candidates:
+                candidate = candidates[answer]
+            else:
+                candidate = candidates[answer] = (
+                    Fact(relation, answer)
+                    if all(map(is_constant_value, answer))
+                    else None
+                )
+            if candidate is None:
                 continue
-            candidate = Fact(relation, answer)
-            support = tuple(
-                dict.fromkeys(atom.substitute(binding) for atom in disjunct.body)
-            )
-            key = (candidate, support)
-            if key not in seen:
-                seen.add(key)
+            key = (candidate, tuple(dict.fromkeys(body_of(row))))
+            size = len(seen)
+            seen.add(key)  # one hash pass where `in` + `add` take two
+            if len(seen) > size:
                 results.append(key)
     return results
 

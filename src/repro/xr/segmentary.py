@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from typing import Container
 
 from repro.asp.syntax import AtomTable, GroundProgram
 from repro.dependencies.mapping import SchemaMapping
@@ -489,8 +490,6 @@ class SegmentaryEngine:
                 stats.safe_candidates = len(accepted)
                 stats.signatures = len(by_signature)
 
-            safe_facts = set(analysis.safe_chased)
-
             # Build every still-undecided signature program first, then
             # solve the whole batch through the executor (the programs are
             # pairwise independent, so any execution order or interleaving
@@ -515,7 +514,8 @@ class SegmentaryEngine:
                         continue
                     group = self._resolve_group(
                         signature, candidates, supports_by_candidate,
-                        safe_facts, mode, stats, build=not incremental,
+                        analysis.safe_chased, mode, stats,
+                        build=not incremental,
                     )
                     accepted |= group.accepted_so_far
                     # Trivially-certain candidates are folded in *before*
@@ -776,7 +776,7 @@ class SegmentaryEngine:
         signature: frozenset[int],
         candidates: list[Fact],
         supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]],
-        safe_facts: set[Fact],
+        safe_facts: Container[Fact],
         mode: str,
         stats: QueryPhaseStats,
         build: bool = True,

@@ -9,6 +9,7 @@ answers computed sequentially on a private engine — the serialized
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import threading
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ from repro.fuzz.render import RenderError, render_query
 from repro.parser import parse_mapping, parse_program
 from repro.relational import Fact, Instance
 from repro.serve import QueryService, ReproServer, ServiceConfig
+from repro.serve.http import ServeHandler
 from repro.serve.protocol import serialize_rows
 from repro.xr.segmentary import SegmentaryEngine
 
@@ -29,10 +31,12 @@ def f(rel, *args):
 
 
 @contextmanager
-def serving(mapping, instance, config: ServiceConfig | None = None):
+def serving(mapping, instance, config: ServiceConfig | None = None,
+            handler: type[ServeHandler] = ServeHandler):
     """Boot a real server on an ephemeral port; yield (host, port)."""
     service = QueryService(mapping, instance, config or ServiceConfig())
     server = ReproServer(("127.0.0.1", 0), service)
+    server.RequestHandlerClass = handler
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -152,6 +156,38 @@ class TestRoutes:
         assert status == 404
         assert get(host, port, "/nope")[0] == 404
 
+    @pytest.mark.parametrize(
+        "path,headers",
+        [
+            ("/nope", {}),
+            ("/query", {"Content-Length": "9999999999"}),
+        ],
+    )
+    def test_unread_body_closes_the_connection(
+        self, small_server, path, headers
+    ):
+        """A POST answered without reading its body closes the
+        connection: kept alive, the body would be parsed as the next
+        request."""
+        host, port, _service = small_server
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("POST", path, body=b'{"query": "x"}',
+                         headers={"Content-Type": "application/json",
+                                  **headers})
+            response = conn.getresponse()
+            response.read()
+            assert response.status in (400, 404)
+            assert response.getheader("Connection") == "close"
+            status, body, _ = post(
+                host, port, "/query", {"query": "q(x) :- P(x, y)."},
+                connection=conn,
+            )
+            assert status == 200
+            assert body["rows"] == [["'a'"], ["'d'"]]
+        finally:
+            conn.close()
+
     def test_admission_overflow_is_429_with_retry_after(self):
         mapping = parse_mapping(
             "SOURCE R/1. TARGET P/1. R(x) -> P(x)."
@@ -201,6 +237,135 @@ class TestRoutes:
             host, port, "/update", {"updates": "+P('a', 'b')."}
         )
         assert status == 400
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that records every write before passing it on."""
+
+    def __init__(self, inner, writes: list[bytes]):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _RecordingHandler(ServeHandler):
+    writes: list[bytes] = []
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _RecordingWriter(self.wfile, self.writes)
+
+
+class _BytesSocket:
+    """Just enough of a socket for :class:`http.client.HTTPResponse`."""
+
+    def __init__(self, data: bytes):
+        self._file = io.BytesIO(data)
+
+    def makefile(self, mode):
+        return self._file
+
+
+class TestOneWriteResponses:
+    """Every response leaves the handler in one write: a head written
+    apart from its body stalls keep-alive clients on Nagle's algorithm
+    and delayed ACKs (~40 ms a request)."""
+
+    @pytest.fixture(scope="class")
+    def recording_server(self):
+        mapping = parse_mapping("SOURCE R/1. TARGET P/1. R(x) -> P(x).")
+        config = ServiceConfig(max_inflight=1, max_queue=0, queue_timeout=0.2)
+        with serving(
+            mapping, Instance([f("R", "a")]), config, _RecordingHandler
+        ) as server:
+            yield server
+
+    def _one_write(self, send) -> tuple[http.client.HTTPResponse, bytes]:
+        """Run ``send`` (one complete request) and parse the single chunk
+        the handler wrote as a whole HTTP/1.1 response."""
+        writes = _RecordingHandler.writes
+        writes.clear()
+        send()
+        assert len(writes) == 1, [len(chunk) for chunk in writes]
+        response = http.client.HTTPResponse(_BytesSocket(writes[0]))
+        response.begin()
+        body = response.read()
+        assert response.version == 11
+        assert int(response.getheader("Content-Length")) == len(body)
+        return response, body
+
+    def test_query_200(self, recording_server):
+        host, port, _service = recording_server
+        response, body = self._one_write(
+            lambda: post(host, port, "/query", {"query": "q(x) :- P(x)."})
+        )
+        assert response.status == 200
+        assert ["'a'"] in json.loads(body)["rows"]
+
+    def test_update_200(self, recording_server):
+        host, port, _service = recording_server
+        response, _body = self._one_write(
+            lambda: post(host, port, "/update", {"updates": "+R('b')."})
+        )
+        assert response.status == 200
+
+    def test_bad_body_400(self, recording_server):
+        host, port, _service = recording_server
+        response, body = self._one_write(
+            lambda: post(host, port, "/query", {"query": "oops("})
+        )
+        assert response.status == 400
+        assert "unparsable" in json.loads(body)["error"]
+
+    def test_unknown_path_404_get_and_post(self, recording_server):
+        host, port, _service = recording_server
+        response, _ = self._one_write(lambda: get(host, port, "/nope"))
+        assert response.status == 404
+        response, _ = self._one_write(lambda: post(host, port, "/nope", {}))
+        assert response.status == 404
+        assert response.getheader("Connection") == "close"
+
+    def test_saturated_admission_429(self, recording_server):
+        host, port, service = recording_server
+        service.admission._acquire()  # saturate the only slot
+        try:
+            response, body = self._one_write(
+                lambda: post(host, port, "/query", {"query": "q(x) :- P(x)."})
+            )
+        finally:
+            service.admission._release()
+        assert response.status == 429
+        assert response.getheader("Retry-After") is not None
+        assert json.loads(body)["retry_after"] > 0
+
+    def test_internal_error_500(self, recording_server, monkeypatch):
+        host, port, service = recording_server
+
+        def broken(request):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "query", broken)
+        response, body = self._one_write(
+            lambda: post(host, port, "/query", {"query": "q(x) :- P(x)."})
+        )
+        assert response.status == 500
+        assert json.loads(body)["error"] == "RuntimeError: boom"
+
+    def test_healthz_and_metrics(self, recording_server):
+        host, port, _service = recording_server
+        response, body = self._one_write(lambda: get(host, port, "/healthz"))
+        assert response.status == 200
+        assert json.loads(body)["status"] == "ok"
+        response, body = self._one_write(lambda: get(host, port, "/metrics"))
+        assert response.status == 200
+        assert response.getheader("Content-Type").startswith("text/plain")
+        assert b"serve_requests_total" in body
 
 
 DIFFERENTIAL_SEEDS = 10
