@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.asp.graphs import nontrivial_sccs, tarjan_scc
+from repro.asp.graphs import tarjan_scc
 from repro.asp.sat import SatSolver
 from repro.asp.syntax import GroundProgram, GroundRule
 
@@ -52,11 +52,20 @@ def _positive_adjacency(rules: Iterable[GroundRule]) -> dict[int, list[int]]:
     return adjacency
 
 
-def is_head_cycle_free(rules: Iterable[GroundRule]) -> bool:
-    """True if no two atoms in one disjunctive head share a positive cycle."""
+def is_head_cycle_free(
+    rules: Iterable[GroundRule],
+    components: list[list[int]] | None = None,
+) -> bool:
+    """True if no two atoms in one disjunctive head share a positive cycle.
+
+    ``components`` are the SCCs of the rules' positive dependency graph
+    when the caller already has them; otherwise they are computed here.
+    """
     rules = list(rules)
+    if components is None:
+        components = tarjan_scc(_positive_adjacency(rules))
     component_of: dict[int, int] = {}
-    for index, component in enumerate(tarjan_scc(_positive_adjacency(rules))):
+    for index, component in enumerate(components):
         for node in component:
             component_of[node] = index
     for rule in rules:
@@ -117,9 +126,15 @@ class StableModelEngine:
         self.deadline = deadline
         self.program = program
         rules = list(program.rules)
+        # One SCC pass serves both the head-cycle test and the up-front
+        # loop formulas: shifting (and the compact generator's dropping of
+        # duplicate rules) keeps every head -> positive-body edge and each
+        # edge's first position in its adjacency list, so the components
+        # of the final rules are these, in this order.
+        components = tarjan_scc(_positive_adjacency(rules))
         self.was_shifted = False
         if any(r.is_disjunctive() for r in rules):
-            if auto_shift and is_head_cycle_free(rules):
+            if auto_shift and is_head_cycle_free(rules, components):
                 rules = shift_disjunctions(rules)
                 self.was_shifted = True
         self.rules = rules
@@ -140,7 +155,7 @@ class StableModelEngine:
             self._build_generator_compact()
         else:
             self._build_generator()
-        self._add_upfront_loop_formulas()
+        self._add_upfront_loop_formulas(components)
         # Everything added past this point (loop refinements, CDCL learned
         # clauses, guarded steering clauses) is knowledge *carried* across
         # solves rather than part of the program encoding.
@@ -532,17 +547,23 @@ class StableModelEngine:
 
     # ------------------------------------------------------------ refining
 
-    def _add_upfront_loop_formulas(self) -> None:
-        """Install loop formulas for every SCC of the positive dependency
-        graph before search starts.
+    def _add_upfront_loop_formulas(self, components: list[list[int]]) -> None:
+        """Install loop formulas for every nontrivial SCC (``components``
+        are all SCCs of the positive dependency graph) before search
+        starts.
 
         Cyclically-supporting atom groups (e.g. a symmetric pair derived
         from each other) otherwise survive the generator and have to be
         eliminated one failed candidate at a time.  Inner loops strictly
         inside an SCC are still handled on demand by the refinement step.
         """
-        for component in nontrivial_sccs(_positive_adjacency(self.rules)):
-            self._add_loop_clauses(frozenset(component))
+        self.upfront_loops = [
+            frozenset(component)
+            for component in components
+            if len(component) >= 2
+        ]
+        for loop in self.upfront_loops:
+            self._add_loop_clauses(loop)
 
     def _refine_with_unfounded(self, unfounded: frozenset[int]) -> None:
         """Add loop formulas for each SCC of the unfounded set (decomposing

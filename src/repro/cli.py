@@ -31,6 +31,7 @@ from typing import Sequence
 
 from repro.obs import Recorder, write_prometheus, write_trace_json
 from repro.parser import parse_instance, parse_mapping, parse_program
+from repro.relational.schema import SchemaMismatch
 from repro.runtime.budget import NO_BUDGET, SolveBudget
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.segmentary import SegmentaryEngine
@@ -42,6 +43,7 @@ def _load(arguments) -> tuple:
         mapping = parse_mapping(handle.read())
     with open(arguments.data) as handle:
         instance = parse_instance(handle.read())
+    mapping.source.check_arities(instance)
     return mapping, instance
 
 
@@ -604,7 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)
-    return arguments.run(arguments)
+    try:
+        return arguments.run(arguments)
+    except SchemaMismatch as exc:
+        # A data or update file whose facts do not fit the mapping's
+        # source schema: bad input, reported like a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from repro.chase.batch import ChaseState
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.relational.instance import Instance
+from repro.relational.schema import SchemaMismatch
 from repro.xr.envelope import (
     EnvelopeAnalysis,
     ViolationCluster,
@@ -126,19 +127,27 @@ class UpdateSession:
             order=data.facts_by_id,
         )
         self._violation_keys = {violation_key(v) for v in data.violations}
-        self._source_names = frozenset(data.mapping.source.names())
 
     # ------------------------------------------------------------- apply
+
+    def check(self, delta: Delta) -> None:
+        """Raise :class:`~repro.relational.schema.SchemaMismatch` unless
+        every fact ``delta`` mentions is a source fact of the declared
+        arity.  Changes nothing."""
+        source = self.data.mapping.source
+        facts = delta.inserts | delta.retracts
+        for fact in facts:
+            if fact.relation not in source:
+                raise SchemaMismatch(
+                    f"update mentions non-source relation "
+                    f"{fact.relation!r}: {fact!r}"
+                )
+        source.check_arities(facts)
 
     def apply(self, delta: Delta) -> UpdateReport:
         """Apply one delta; returns the per-layer report."""
         started = time.perf_counter()
-        for fact in delta.inserts | delta.retracts:
-            if fact.relation not in self._source_names:
-                raise ValueError(
-                    f"update mentions non-source relation "
-                    f"{fact.relation!r}: {fact!r}"
-                )
+        self.check(delta)
         effective = delta.normalized(self.data.source_instance)
         report = UpdateReport(noop=effective.is_noop())
         tracer, metrics = self.obs.tracer, self.obs.metrics
@@ -198,7 +207,12 @@ class UpdateSession:
         return report
 
     def apply_stream(self, deltas) -> list[UpdateReport]:
-        """Apply a list of deltas in order."""
+        """Apply a list of deltas in order, after checking all of them: a
+        bad fact in any step rejects the stream before the first step
+        applies."""
+        deltas = list(deltas)
+        for delta in deltas:
+            self.check(delta)
         return [self.apply(delta) for delta in deltas]
 
     # ----------------------------------------------- cluster maintenance

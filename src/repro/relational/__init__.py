@@ -21,7 +21,7 @@ from repro.relational.terms import (
     is_null_value,
     reset_null_counter,
 )
-from repro.relational.schema import RelationSymbol, Schema
+from repro.relational.schema import RelationSymbol, Schema, SchemaMismatch
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import (
     Atom,
@@ -43,6 +43,7 @@ __all__ = [
     "reset_null_counter",
     "RelationSymbol",
     "Schema",
+    "SchemaMismatch",
     "Fact",
     "Instance",
     "Atom",

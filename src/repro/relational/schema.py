@@ -5,6 +5,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
+class SchemaMismatch(ValueError):
+    """A fact that does not fit the schema it was checked against."""
+
+
 class RelationSymbol:
     """A relation symbol with a name, an arity, and optional attribute names.
 
@@ -83,6 +87,19 @@ class Schema:
 
     def arity(self, name: str) -> int:
         return self._relations[name].arity
+
+    def check_arities(self, facts: Iterable) -> None:
+        """Raise :class:`SchemaMismatch` for the first fact of a relation
+        this schema declares whose number of values differs from the
+        declared arity (facts of undeclared relations pass)."""
+        relations = self._relations
+        for fact in facts:
+            relation = relations.get(fact.relation)
+            if relation is not None and len(fact.args) != relation.arity:
+                raise SchemaMismatch(
+                    f"{fact!r} has {len(fact.args)} value(s), but "
+                    f"{relation!r} declares {relation.arity}"
+                )
 
     def union(self, other: "Schema") -> "Schema":
         """The union of two schemas; arities must agree on shared names."""

@@ -43,19 +43,31 @@ so decisions about *unaffected* clusters survive the update.
 engine — under the serving tier (:mod:`repro.serve`) those queries run on
 *concurrent threads*.  LRU recency maintenance mutates the underlying
 dicts on **lookup** (delete + re-insert), so even the read path writes;
-all four operations (lookup/store/invalidate/clear) therefore take one
-internal ``threading.Lock``.  The critical sections are a few dict
-operations each, so the single-threaded overhead is one uncontended
-acquire per call — negligible next to program construction, and far
-cheaper than the torn-LRU ``KeyError`` crashes (or silently corrupted
-recency chains) concurrent unlocked lookups produce.
+all operations therefore take one internal lock.  The critical sections
+are a few dict operations each, so the single-threaded overhead is one
+uncontended acquire per call — negligible next to program construction,
+and far cheaper than the torn-LRU ``KeyError`` crashes (or silently
+corrupted recency chains) concurrent unlocked lookups produce.
+
+**Single flight.**  Two queries missing on the same program key at once
+would both build and solve the same program.  :meth:`lookup_or_claim`
+instead decides, in one step under the lock, whether the caller has a
+hit, becomes the key's *owner*, or gets the :class:`ProgramFlight` of
+another query's in-flight solve.  The owner publishes through
+:meth:`store_program`, which hands the value to the flight itself (so
+LRU eviction cannot lose it before a waiter reads it), and it always
+ends with :meth:`release`, which wakes the waiters with no value when
+nothing was published (a timeout, a partial family, an exception).  A
+waiter that wakes empty-handed probes again and may claim the key
+itself.  Deadlock freedom is the caller's rule: never wait on a flight
+while owning one (DESIGN §13).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Container, Iterable, NamedTuple
 
 from repro.relational.instance import Fact
 
@@ -85,6 +97,39 @@ def program_key(
 ) -> ProgramKey:
     """The cache key of one signature program."""
     return (signature, encoding, mode, frozenset(query_groundings))
+
+
+class ProgramFlight:
+    """One in-flight solve of a program key.
+
+    Created by :meth:`SignatureProgramCache.lookup_or_claim` for the
+    query that claims the key; every other query missing on the key
+    while it is in flight gets the same object and waits on it.
+    ``value`` is the published accepted set, or ``None`` when the owner
+    released the key without publishing.
+    """
+
+    __slots__ = ("key", "value", "_done")
+
+    def __init__(self, key: ProgramKey) -> None:
+        self.key = key
+        self.value: frozenset[Fact] | None = None
+        self._done = threading.Event()
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until published or released (or ``timeout`` seconds
+        pass); True when the flight is over."""
+        return self._done.wait(timeout)
+
+
+class ProgramProbe(NamedTuple):
+    """The outcome of :meth:`SignatureProgramCache.lookup_or_claim`:
+    ``accepted`` on a hit; otherwise the key's ``flight``, which the
+    caller ``owns`` (it must solve, publish and release) or awaits."""
+
+    accepted: frozenset[Fact] | None
+    flight: ProgramFlight | None = None
+    owns: bool = False
 
 
 @dataclass
@@ -127,11 +172,13 @@ class SignatureProgramCache:
             raise ValueError(f"max_decisions must be >= 1, got {max_decisions}")
         self.max_programs = max_programs
         self.max_decisions = max_decisions
-        # One lock for both layers and the counters: lookups mutate the
-        # dicts too (LRU delete + re-insert), so readers and writers must
-        # exclude each other.  Never held while calling out — the metrics
-        # registry has its own lock and is incremented outside ours.
-        self._lock = threading.Lock()
+        # One lock for both layers, the in-flight table and the counters:
+        # lookups mutate the dicts too (LRU delete + re-insert), so readers
+        # and writers must exclude each other.  Never held while calling
+        # out — the metrics registry has its own lock and is incremented
+        # outside ours.  Reentrant so that ``lookup_or_claim`` can probe
+        # through ``lookup_program`` inside its own critical section.
+        self._lock = threading.RLock()
         # Python dicts preserve insertion order; LRU recency is maintained
         # by deleting + re-inserting on every touch, and eviction pops the
         # oldest entry (next(iter(...))).
@@ -139,6 +186,8 @@ class SignatureProgramCache:
         self._decisions: dict[
             tuple[frozenset[int], str, str, DecisionKey], bool
         ] = {}
+        # Keys claimed by a query that is building and solving them.
+        self._flights: dict[ProgramKey, ProgramFlight] = {}
         self.stats = CacheStats()
         self.metrics = None  # optional repro.obs Metrics registry
 
@@ -157,10 +206,37 @@ class SignatureProgramCache:
                     self._programs[key] = accepted
         return accepted
 
+    def lookup_or_claim(self, key: ProgramKey) -> ProgramProbe:
+        """A hit, a claim on ``key``, or another query's flight for it —
+        decided in one step, so two missing queries never both own it."""
+        with self._lock:
+            accepted = self.lookup_program(key)
+            if accepted is not None:
+                return ProgramProbe(accepted)
+            flight = self._flights.get(key)
+            if flight is not None:
+                return ProgramProbe(None, flight)
+            flight = self._flights[key] = ProgramFlight(key)
+            return ProgramProbe(None, flight, owns=True)
+
+    def release(self, flight: ProgramFlight) -> None:
+        """End a claim: waiters wake, empty-handed unless a value was
+        published.  Idempotent, so callers release in ``finally``."""
+        with self._lock:
+            if self._flights.get(flight.key) is flight:
+                del self._flights[flight.key]
+        flight._done.set()
+
     def store_program(self, key: ProgramKey, accepted: Iterable[Fact]) -> None:
         value = frozenset(accepted)
         evicted = False
         with self._lock:
+            flight = self._flights.pop(key, None)
+            if flight is not None:
+                # Published on the flight too: its waiters read it there
+                # even if the entry below is evicted before they wake.
+                flight.value = value
+                flight._done.set()
             if key in self._programs:
                 del self._programs[key]
             self._programs[key] = value

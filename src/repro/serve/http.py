@@ -18,10 +18,13 @@ POST      /update    apply an update stream through the single writer
 ========  =========  ====================================================
 
 Status mapping: 400 for protocol errors (malformed body, unparsable
-query), 429 + ``Retry-After`` for admission rejections, 404/405 for bad
-routes, 500 only for genuine bugs — an over-budget query is **not** an
-error (it returns 200 with ``degraded: true`` and the unknown
-candidates listed, the PR 4 semantics).
+query, a fact that does not fit the source schema), 429 +
+``Retry-After`` for admission rejections, 404 for unknown paths, 405 +
+``Allow`` for the other standard methods, 500 only for genuine bugs —
+an over-budget query is **not** an error (it returns 200 with
+``degraded: true`` and the unknown candidates listed, the degraded
+answers of DESIGN §9).  Every response, the base class's own errors included, is
+JSON written in one write.
 
 :func:`run_serve` is the CLI entry: it serves from a background thread
 and parks the main thread on an event that SIGTERM/SIGINT set, then
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 import signal
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -119,6 +123,30 @@ class ServeHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(200, body)
 
+    # ---------------------------------------------------- other methods
+
+    def _method_not_allowed(self) -> None:
+        # Any request body (PUT, PATCH) stays unread: close after
+        # answering, as for an unknown POST path.
+        self.close_connection = True
+        self._send_json(
+            405,
+            {"error": f"method {self.command} not allowed"},
+            extra_headers={"Allow": "GET, POST"},
+        )
+
+    do_PUT = do_DELETE = do_PATCH = do_HEAD = _method_not_allowed
+    do_OPTIONS = do_TRACE = do_CONNECT = _method_not_allowed
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """The base class's own errors (a malformed request line, an
+        unrecognized method, oversized headers) as JSON in one write,
+        closing the connection as the base class does."""
+        self.close_connection = True
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+
     def _read_json_body(self) -> object:
         def unread(message: str) -> ProtocolError:
             self.close_connection = True  # as for an unknown path
@@ -178,6 +206,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         # line.  An HTTP/0.9 request buffers no head (the bare body).
         head = b"".join(getattr(self, "_headers_buffer", ()))
         self._headers_buffer = []
+        if self.command == "HEAD":
+            encoded = b""  # a HEAD response has no body
         self.wfile.write(head + b"\r\n" + encoded if head else encoded)
 
 

@@ -157,9 +157,11 @@ class QueryService:
     # ------------------------------------------------------------ writes
 
     def update(self, deltas: list[Delta]) -> dict:
-        """Apply delta steps in order under the exclusive lock."""
+        """Apply delta steps in order under the exclusive lock.  Every
+        step is checked before the first applies, so a request naming a
+        non-source relation or a wrong arity changes nothing."""
         with self.rwlock.write_locked():
-            reports = [self.session.apply(delta) for delta in deltas]
+            reports = self.session.apply_stream(deltas)
         self.metrics.inc("serve_updates_total", len(reports))
         return update_payload(reports)
 

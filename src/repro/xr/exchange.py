@@ -238,6 +238,9 @@ def build_exchange_data(
     canonical (sorted) order regardless of the evaluation order that
     found them.
 
+    Raises :class:`~repro.relational.schema.SchemaMismatch` when a fact
+    of a declared source relation has the wrong number of values.
+
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` / ``violations`` / ``index``
     (used by the micro-benchmarks; answer-neutral).  ``obs`` (a
@@ -250,6 +253,8 @@ def build_exchange_data(
             "exchange data requires a gav+(gav, egd) mapping; "
             "run reduce_mapping first"
         )
+    # The batch chase's index projections assume one arity per relation.
+    mapping.source.check_arities(source_instance)
     if obs is None:
         obs = NOOP_RECORDER
     tracer, metrics = obs.tracer, obs.metrics

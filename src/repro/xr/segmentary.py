@@ -39,7 +39,12 @@ from repro.reduction.reduce import ReducedMapping, reduce_mapping
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
-from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
+from repro.runtime.cache import (
+    ProgramFlight,
+    SignatureProgramCache,
+    decision_key,
+    program_key,
+)
 from repro.runtime.executor import (
     PackedProgram,
     SolveExecutor,
@@ -109,6 +114,11 @@ class QueryPhaseStats:
     family_candidates: int = 0
     core_skips: int = 0
     carried_clauses: int = 0
+    # Single-flight solving: signature groups answered by another query's
+    # in-flight solve of the same program, and the seconds spent waiting
+    # for such solves (published or not).
+    coalesced: int = 0
+    coalesce_wait_seconds: float = 0.0
 
     def copy(self) -> "QueryPhaseStats":
         """An independent deep copy (no shared mutable containers).
@@ -162,6 +172,9 @@ class _SignatureGroup:
     # strategy the per-signature program is *not* built — these ride into
     # the family program instead, and ``solve_atoms`` is filled in then.
     unresolved: list[Fact] = field(default_factory=list)
+    # Another query's in-flight solve of this very program: the group is
+    # neither built nor solved here, only awaited (single flight).
+    awaiting: ProgramFlight | None = None
 
 
 class SegmentaryEngine:
@@ -447,7 +460,6 @@ class SegmentaryEngine:
             # The serving tier passes one per request so concurrent
             # deadlines never share (or mutate) engine state.
             budget = self.budget
-        incremental = self.solve_strategy == "incremental"
         stats = QueryPhaseStats(
             executor=self.executor.name, strategy=self.solve_strategy
         )
@@ -490,86 +502,30 @@ class SegmentaryEngine:
                 stats.safe_candidates = len(accepted)
                 stats.signatures = len(by_signature)
 
-            # Build every still-undecided signature program first, then
-            # solve the whole batch through the executor (the programs are
-            # pairwise independent, so any execution order or interleaving
-            # is valid).
-            pending: list[_SignatureGroup] = []
-            family_batches: list[list[_SignatureGroup]] = []
-            tasks: list[SolveTask] = []
-            build_started = time.perf_counter()
-            with tracer.span("query.build"):
-                for signature, candidates in by_signature.items():
-                    if clock is not None and clock.expired():
-                        # Deadline passed during program construction:
-                        # everything still unresolved is unknown — never
-                        # silently dropped, never fabricated.
-                        if not allow_partial:
-                            raise SolveBudgetExceeded(
-                                "query deadline exceeded while building "
-                                "signature programs"
-                            )
-                        stats.timeouts += 1
-                        unknown.update(candidates)
-                        continue
-                    group = self._resolve_group(
-                        signature, candidates, supports_by_candidate,
-                        analysis.safe_chased, mode, stats,
-                        build=not incremental,
+            # Single flight: each round builds, solves and publishes the
+            # programs this query owns, releases every claim, and only
+            # then waits on programs other queries are solving.  A query
+            # never waits while it owns a claim, so no two queries wait on
+            # each other.  A flight released without a value (its owner
+            # timed out or failed) sends its group into another round.
+            claims: list[ProgramFlight] = []
+            round_signatures = by_signature
+            try:
+                while round_signatures:
+                    awaiting = self._decide_round(
+                        round_signatures, supports_by_candidate, mode,
+                        stats, accepted, unknown, clock, allow_partial,
+                        budget, claims,
                     )
-                    accepted |= group.accepted_so_far
-                    # Trivially-certain candidates are folded in *before*
-                    # any query_atoms guard: even if `_emit_query_rules`'s
-                    # invariant (trivially_certain ⊆ query_atoms) ever
-                    # loosens, they can never be dropped.
-                    accepted |= group.xr_program.trivially_certain
-                    if incremental:
-                        if group.unresolved:
-                            pending.append(group)
-                        else:
-                            self._finalize_group(group, set(), mode)
-                        continue
-                    if group.solve_atoms:
-                        pending.append(group)
-                        tasks.append(
-                            SolveTask(
-                                program=PackedProgram.pack(
-                                    group.xr_program.program
-                                ),
-                                query_atom_ids=tuple(
-                                    sorted(group.solve_atoms.values())
-                                ),
-                                mode=mode,
-                                budget=budget,
-                                trace=tracer.enabled,
-                            )
-                        )
-                    else:
-                        self._finalize_group(group, set(), mode)
-                if incremental and pending:
-                    family_batches, tasks = self._assemble_families(
-                        pending, supports_by_candidate, mode, stats,
-                        accepted, unknown, clock, allow_partial,
-                        trace=tracer.enabled, budget=budget,
+                    self._release(claims)
+                    if not awaiting:
+                        break
+                    round_signatures = self._await_flights(
+                        awaiting, by_signature, stats, accepted, unknown,
+                        clock, allow_partial,
                     )
-            stats.build_seconds = time.perf_counter() - build_started
-
-            if tasks:
-                with tracer.span("query.solve"):
-                    outcomes = self.executor.run(tasks, deadline=clock)
-                    stats.executor = self.executor.last_dispatch
-                    if incremental:
-                        self._handle_family_outcomes(
-                            family_batches, outcomes, mode, stats,
-                            accepted, unknown, allow_partial,
-                            tracer, metrics,
-                        )
-                    else:
-                        self._handle_signature_outcomes(
-                            pending, outcomes, mode, stats,
-                            accepted, unknown, allow_partial,
-                            tracer, metrics,
-                        )
+            finally:
+                self._release(claims)
 
             if unknown:
                 stats.degraded = True
@@ -591,6 +547,161 @@ class SegmentaryEngine:
         # the other's view afterwards.
         self._last_query_stats = stats.copy()
         return answers_from_facts(accepted), stats
+
+    def _decide_round(
+        self,
+        by_signature: dict[frozenset[int], list[Fact]],
+        supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]],
+        mode: str,
+        stats: QueryPhaseStats,
+        accepted: set[Fact],
+        unknown: set[Fact],
+        clock,
+        allow_partial: bool,
+        budget: SolveBudget,
+        claims: list[ProgramFlight],
+    ) -> list[_SignatureGroup]:
+        """Decide every signature group this query can decide itself.
+
+        Builds every still-undecided program this query owns first, then
+        solves the whole batch through the executor (the programs are
+        pairwise independent, so any execution order or interleaving is
+        valid).  Keys claimed on the way are appended to ``claims``.
+        Returns the groups whose program another query is solving.
+        """
+        assert self.analysis is not None
+        incremental = self.solve_strategy == "incremental"
+        tracer, metrics = self.obs.tracer, self.obs.metrics
+        awaiting: list[_SignatureGroup] = []
+        pending: list[_SignatureGroup] = []
+        family_batches: list[list[_SignatureGroup]] = []
+        tasks: list[SolveTask] = []
+        build_started = time.perf_counter()
+        with tracer.span("query.build"):
+            for signature, candidates in by_signature.items():
+                if clock is not None and clock.expired():
+                    # Deadline passed during program construction:
+                    # everything still unresolved is unknown — never
+                    # silently dropped, never fabricated.
+                    if not allow_partial:
+                        raise SolveBudgetExceeded(
+                            "query deadline exceeded while building "
+                            "signature programs"
+                        )
+                    stats.timeouts += 1
+                    unknown.update(candidates)
+                    continue
+                group = self._resolve_group(
+                    signature, candidates, supports_by_candidate,
+                    self.analysis.safe_chased, mode, stats, claims,
+                    build=not incremental,
+                )
+                if group.awaiting is not None:
+                    awaiting.append(group)
+                    continue
+                accepted |= group.accepted_so_far
+                # Trivially-certain candidates are folded in *before*
+                # any query_atoms guard: even if `_emit_query_rules`'s
+                # invariant (trivially_certain ⊆ query_atoms) ever
+                # loosens, they can never be dropped.
+                accepted |= group.xr_program.trivially_certain
+                if incremental:
+                    if group.unresolved:
+                        pending.append(group)
+                    else:
+                        self._finalize_group(group, set(), mode)
+                    continue
+                if group.solve_atoms:
+                    pending.append(group)
+                    tasks.append(
+                        SolveTask(
+                            program=PackedProgram.pack(
+                                group.xr_program.program
+                            ),
+                            query_atom_ids=tuple(
+                                sorted(group.solve_atoms.values())
+                            ),
+                            mode=mode,
+                            budget=budget,
+                            trace=tracer.enabled,
+                        )
+                    )
+                else:
+                    self._finalize_group(group, set(), mode)
+            if incremental and pending:
+                family_batches, tasks = self._assemble_families(
+                    pending, supports_by_candidate, mode, stats,
+                    accepted, unknown, clock, allow_partial,
+                    trace=tracer.enabled, budget=budget,
+                )
+        stats.build_seconds += time.perf_counter() - build_started
+
+        if tasks:
+            with tracer.span("query.solve"):
+                outcomes = self.executor.run(tasks, deadline=clock)
+                stats.executor = self.executor.last_dispatch
+                if incremental:
+                    self._handle_family_outcomes(
+                        family_batches, outcomes, mode, stats,
+                        accepted, unknown, allow_partial,
+                        tracer, metrics,
+                    )
+                else:
+                    self._handle_signature_outcomes(
+                        pending, outcomes, mode, stats,
+                        accepted, unknown, allow_partial,
+                        tracer, metrics,
+                    )
+        return awaiting
+
+    def _await_flights(
+        self,
+        awaiting: list[_SignatureGroup],
+        by_signature: dict[frozenset[int], list[Fact]],
+        stats: QueryPhaseStats,
+        accepted: set[Fact],
+        unknown: set[Fact],
+        clock,
+        allow_partial: bool,
+    ) -> dict[frozenset[int], list[Fact]]:
+        """Take each awaited group's verdicts from the query solving it.
+
+        Every wait ends by the query's own deadline; past it, the group's
+        candidates are unknown, exactly as if the deadline had passed
+        while building.  Returns the groups whose owner released its
+        claim without publishing: the caller decides them in another
+        round.
+        """
+        retry: dict[frozenset[int], list[Fact]] = {}
+        started = time.perf_counter()
+        with self.obs.tracer.span("query.wait"):
+            for group in awaiting:
+                flight = group.awaiting
+                assert flight is not None
+                timeout = None if clock is None else clock.remaining()
+                if not flight.wait(timeout):
+                    if not allow_partial:
+                        raise SolveBudgetExceeded(
+                            "query deadline exceeded while waiting for a "
+                            "concurrent solve of the same program"
+                        )
+                    stats.timeouts += 1
+                    unknown.update(by_signature[group.signature])
+                elif flight.value is None:
+                    retry[group.signature] = by_signature[group.signature]
+                else:
+                    stats.coalesced += 1
+                    accepted |= flight.value
+        stats.coalesce_wait_seconds += time.perf_counter() - started
+        return retry
+
+    def _release(self, claims: list[ProgramFlight]) -> None:
+        """Release every claim in ``claims`` (waking its waiters) and
+        empty the list."""
+        if self.cache is not None:
+            for flight in claims:
+                self.cache.release(flight)
+        claims.clear()
 
     def _handle_signature_outcomes(
         self,
@@ -749,6 +860,13 @@ class SegmentaryEngine:
         metrics.inc("query_family_candidates_total", stats.family_candidates)
         metrics.inc("solve_core_skips_total", stats.core_skips)
         metrics.inc("solve_carried_clauses_total", stats.carried_clauses)
+        if stats.coalesce_wait_seconds:
+            # Only queries that waited report, so a sequential run's work
+            # profile (the golden metrics) carries no coalescing counters.
+            metrics.inc("cache_program_coalesced_total", stats.coalesced)
+            metrics.histogram(
+                "cache_program_coalesce_wait_seconds", DEFAULT_TIME_BUCKETS
+            ).observe(stats.coalesce_wait_seconds)
         metrics.inc(
             "query_unknown_candidates_total", len(stats.unknown_candidates)
         )
@@ -779,6 +897,7 @@ class SegmentaryEngine:
         safe_facts: Container[Fact],
         mode: str,
         stats: QueryPhaseStats,
+        claims: list[ProgramFlight],
         build: bool = True,
     ) -> _SignatureGroup:
         """Decide a signature group from the caches, or build its program.
@@ -786,6 +905,10 @@ class SegmentaryEngine:
         A group answered entirely from the cache comes back with an empty
         ``solve_atoms`` and its accepted candidates in ``accepted_so_far``;
         otherwise the built program rides along for the executor batch.
+
+        A cache miss claims the program key (appended to ``claims``); when
+        another query already holds the claim, the group comes back with
+        that query's flight in ``awaiting`` and nothing probed or built.
 
         ``build=False`` (the incremental strategy) stops after the cache
         probes: undecided candidates come back in ``unresolved`` and no
@@ -804,17 +927,20 @@ class SegmentaryEngine:
         key = program_key(signature, self.encoding, mode, group_groundings)
 
         if self.cache is not None:
-            cached = self.cache.lookup_program(key)
-            if cached is not None:
-                stats.cache_hits += 1
+            probe = self.cache.lookup_or_claim(key)
+            if not probe.owns:  # a hit, or another query's flight
+                if probe.accepted is not None:
+                    stats.cache_hits += 1
                 return _SignatureGroup(
                     key=key,
                     signature=signature,
                     xr_program=XRProgram(program=_EMPTY_PROGRAM),
                     decision_keys={},
                     solve_atoms={},
-                    accepted_so_far=set(cached),
+                    accepted_so_far=set(probe.accepted or ()),
+                    awaiting=probe.flight,
                 )
+            claims.append(probe.flight)
             stats.cache_misses += 1
 
         # Per-candidate decision memo: coarser than the program cache —

@@ -1,17 +1,23 @@
 """Tests for stable model computation (normal, disjunctive, HCF shifting)."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.asp.graphs import tarjan_scc
 from repro.asp.stable import (
     StableModelEngine,
+    _positive_adjacency,
     is_head_cycle_free,
     shift_disjunctions,
 )
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
+from repro.genomics import build_instance, genome_mapping
+from repro.genomics.queries import all_queries
 from repro.relational.instance import Fact
+from repro.xr.segmentary import SegmentaryEngine
 
 
 def program_over(num_atoms, rules):
@@ -201,3 +207,84 @@ def test_random_programs_match_brute_force(data):
         set(StableModelEngine(program, auto_shift=False).stable_models(limit=200))
         == expected
     )
+
+
+class TestUpfrontLoops:
+    """The engine computes the SCCs once, over the rules it was given, and
+    uses them both for the head-cycle test and for the up-front loop
+    formulas of the rules it keeps (shifted and, when compact, with
+    duplicates dropped).  Those loops must be exactly the ones a fresh
+    Tarjan run over the final rules finds, in the same order."""
+
+    @staticmethod
+    def fresh_loops(engine):
+        return [
+            frozenset(component)
+            for component in tarjan_scc(_positive_adjacency(engine.rules))
+            if len(component) >= 2
+        ]
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_shifted_program_with_duplicates(self, compact):
+        rules = [
+            GroundRule((1, 2)),
+            GroundRule((3,), (4,)),
+            GroundRule((4,), (3,)),
+            GroundRule((3,), (1,)),
+            GroundRule((4,), (3,)),  # duplicate
+            GroundRule((5,), (6,)),
+            GroundRule((6,), (5,), (1,)),
+            GroundRule((1, 2)),  # duplicate
+            GroundRule((2,), (), (1,)),  # the shift of rule 1 for head 2
+        ]
+        engine = StableModelEngine(program_over(6, rules), compact=compact)
+        assert engine.was_shifted
+        assert len(engine.rules) == (7 if compact else 11)
+        assert engine.upfront_loops == self.fresh_loops(engine)
+        assert set(engine.upfront_loops) == {
+            frozenset({3, 4}), frozenset({5, 6})
+        }
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_random_programs(self, compact):
+        rng = random.Random(7)
+        for _ in range(300):
+            num_atoms = rng.randint(2, 9)
+            rules = []
+            for _ in range(rng.randint(1, 14)):
+                head = tuple(rng.sample(
+                    range(1, num_atoms + 1), rng.choice((1, 1, 2))
+                ))
+                body_pos = tuple(rng.sample(
+                    range(1, num_atoms + 1), rng.randint(0, 2)
+                ))
+                body_neg = tuple(rng.sample(
+                    range(1, num_atoms + 1), rng.randint(0, 1)
+                ))
+                rules.append(GroundRule(head, body_pos, body_neg))
+            rules += rng.sample(rules, rng.randint(0, len(rules)))
+            engine = StableModelEngine(
+                program_over(num_atoms, rules), compact=compact
+            )
+            assert engine.upfront_loops == self.fresh_loops(engine)
+
+    def test_xr_family_programs(self, monkeypatch):
+        """The engines a real query phase builds (genomics S3, the
+        Table 3 queries) agree too."""
+        engines = []
+        original = StableModelEngine.__init__
+
+        def recording(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            engines.append(self)
+
+        monkeypatch.setattr(StableModelEngine, "__init__", recording)
+        with SegmentaryEngine(
+            genome_mapping(), build_instance("S3").instance
+        ) as engine:
+            for _name, query in all_queries():
+                engine.answer(query)
+        assert engines
+        assert any(engine.upfront_loops for engine in engines)
+        for engine in engines:
+            assert engine.upfront_loops == self.fresh_loops(engine)

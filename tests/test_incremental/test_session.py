@@ -23,7 +23,7 @@ from repro.fuzz.updates import (
 )
 from repro.incremental import Delta, apply_delta
 from repro.parser import parse_mapping, parse_query
-from repro.relational import Fact, Instance
+from repro.relational import Fact, Instance, SchemaMismatch
 from repro.xr.exchange import violation_key
 from repro.xr.segmentary import SegmentaryEngine
 
@@ -87,6 +87,26 @@ class TestUpdateSession:
         session = engine.update_session()
         with pytest.raises(ValueError, match="non-source relation"):
             session.apply(Delta(inserts=frozenset({f("P", "x", "y")})))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Delta(inserts=frozenset({f("R", "z")})),
+            Delta(retracts=frozenset({f("R", "a", "b", "c")})),
+            Delta(inserts=frozenset({f("P", "x", "y")})),
+        ],
+    )
+    def test_stream_is_checked_before_any_step_applies(self, bad):
+        engine = fresh_engine(TWO_CLUSTERS)
+        session = engine.update_session()
+        good = Delta(inserts=frozenset({f("R", "x", "y")}))
+        with pytest.raises(SchemaMismatch):
+            session.apply_stream([good, bad])
+        assert set(engine.instance) == set(TWO_CLUSTERS)
+        assert session.stats.deltas_applied == 0
+        with pytest.raises(ValueError):  # SchemaMismatch is a ValueError
+            session.apply(bad)
+        assert set(engine.instance) == set(TWO_CLUSTERS)
 
     def test_noop_delta_changes_nothing(self):
         engine = fresh_engine(TWO_CLUSTERS)

@@ -105,3 +105,26 @@ class TestCLI:
         mapping_path, data_path = files
         main(["repairs", "-m", mapping_path, "-d", data_path, "--limit", "1"])
         assert capsys.readouterr().out.count("% repair") == 1
+
+    @pytest.mark.parametrize("command", ["answer", "check", "repairs"])
+    def test_wrong_arity_in_data_exits_2(self, tmp_path, command, capsys):
+        mapping_path = tmp_path / "mapping.txt"
+        mapping_path.write_text(MAPPING)
+        data_path = tmp_path / "data.txt"
+        data_path.write_text(DATA + "Employee('eve').\n")
+        argv = [command, "-m", str(mapping_path), "-d", str(data_path)]
+        if command == "answer":
+            argv += ["-q", "q(n) :- Office(n, o)."]
+        assert main(argv) == 2
+        assert "Employee('eve') has 1 value(s)" in capsys.readouterr().err
+
+    def test_wrong_arity_in_updates_exits_2(self, files, tmp_path, capsys):
+        mapping_path, data_path = files
+        updates_path = tmp_path / "updates.txt"
+        updates_path.write_text("+Employee('eve', 'E16').\n\n+Employee('x').\n")
+        code = main(
+            ["answer", "-m", mapping_path, "-d", data_path,
+             "-q", "q(n) :- Office(n, o).", "--updates", str(updates_path)]
+        )
+        assert code == 2
+        assert "Employee('x') has 1 value(s)" in capsys.readouterr().err

@@ -68,6 +68,16 @@ def get(host, port, path):
     return response.status, raw
 
 
+def request(host, port, method, path, body=None):
+    """Send one ``method`` request; returns the status."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    response.read()
+    conn.close()
+    return response.status
+
+
 @pytest.fixture(scope="module")
 def small_server():
     mapping = parse_mapping(
@@ -238,6 +248,29 @@ class TestRoutes:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            "+R('z').",  # wrong arity
+            "-R('a', 'b', 'c').",  # wrong arity, retracted
+            "+R('x', 'y').\n\n+P('a', 'b').",  # second step non-source
+            "+R('x', 'y').\n\n+R('z').",  # second step wrong arity
+        ],
+    )
+    def test_bad_update_is_400_and_changes_nothing(
+        self, small_server, updates
+    ):
+        """Every step is checked before the first one applies."""
+        host, port, service = small_server
+        before = set(service.engine.instance)
+        status, body, _ = post(host, port, "/update", {"updates": updates})
+        assert status == 400, body
+        assert set(service.engine.instance) == before
+        status, body, _ = post(
+            host, port, "/query", {"query": "q(x) :- P(x, y)."}
+        )
+        assert body["rows"] == [["'a'"], ["'d'"]]
+
 
 class _RecordingWriter:
     """A handler's ``wfile`` that records every write before passing it on."""
@@ -356,6 +389,39 @@ class TestOneWriteResponses:
         )
         assert response.status == 500
         assert json.loads(body)["error"] == "RuntimeError: boom"
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+    def test_other_methods_405_with_allow(self, recording_server, method):
+        host, port, _service = recording_server
+        response, body = self._one_write(
+            lambda: request(host, port, method, "/query", b'{"query": "x"}')
+        )
+        assert response.status == 405
+        assert response.getheader("Allow") == "GET, POST"
+        assert response.getheader("Content-Type") == "application/json"
+        assert response.getheader("Connection") == "close"
+        assert method in json.loads(body)["error"]
+
+    def test_head_405_has_no_body(self, recording_server):
+        host, port, _service = recording_server
+        writes = _RecordingHandler.writes
+        writes.clear()
+        status = request(host, port, "HEAD", "/healthz")
+        assert status == 405
+        assert len(writes) == 1
+        assert writes[0].startswith(b"HTTP/1.1 405 ")
+        assert writes[0].endswith(b"\r\n\r\n")
+        assert b"Allow: GET, POST\r\n" in writes[0]
+
+    def test_unrecognized_method_is_json(self, recording_server):
+        """The base class's own errors leave as JSON in one write too."""
+        host, port, _service = recording_server
+        response, body = self._one_write(
+            lambda: request(host, port, "BREW", "/query")
+        )
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert "BREW" in json.loads(body)["error"]
 
     def test_healthz_and_metrics(self, recording_server):
         host, port, _service = recording_server

@@ -4,8 +4,9 @@ import pytest
 
 from repro.parser import parse_mapping
 from repro.reduction import reduce_mapping
-from repro.relational import Fact, Instance
+from repro.relational import Fact, Instance, SchemaMismatch
 from repro.xr.exchange import build_exchange_data
+from repro.xr.segmentary import SegmentaryEngine
 
 
 def f(rel, *args):
@@ -63,6 +64,21 @@ class TestBuildExchangeData:
         )
         with pytest.raises(ValueError, match="gav"):
             build_exchange_data(mapping, Instance())
+
+    def test_wrong_source_arity_rejected(self):
+        """A source fact of the wrong arity is refused before the chase
+        (whose index projections would raise IndexError on it)."""
+        mapping = parse_mapping(
+            """
+            SOURCE R/2. TARGET P/2.
+            R(x, y) -> P(x, y).
+            """
+        )
+        instance = Instance([f("R", "a", "b"), f("R", "d")])
+        with pytest.raises(SchemaMismatch, match=r"R\('d'\) has 1 value"):
+            build_exchange_data(reduce_mapping(mapping).gav, instance)
+        with pytest.raises(ValueError, match="declares 2"):
+            SegmentaryEngine(mapping, instance).exchange()
 
     def test_source_and_target_fact_partition(self, key_setup):
         targets = key_setup.target_facts()
